@@ -2,19 +2,27 @@
 
 The production route interleaves the trace formula d_k = -trace(B_{k-1} B)/k
 with the recurrence B_k = B_{k-1} B + d_k I, giving all coefficients of
-det(lambda*I - B) and of adj(lambda*I - B) in O(n^4) exact operations.  The
-division by k is legal over the rationals; this route is sensitive to the
-field characteristic, which is one reason the brute-force minor route stays
-available as an oracle (`char_poly_minors`).
+det(lambda*I - B) and of adj(lambda*I - B) in O(n^4) exact operations.  It
+runs over Python ints: denominators are cleared once (B = M/D), the
+recurrence works on the integer matrix M, where the division by k is exact,
+and the results are scaled back by D^k.  The division by k makes this route
+sensitive to the field characteristic, which is one reason the brute-force
+minor route stays available as an oracle (`char_poly_minors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .exactcore import Matrix, as_rational, identity, zeros
 from .minors import delta_k
+
+
+class RecurrenceError(ArithmeticError):
+    """The integer trace recurrence hit an inexact division; a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -58,16 +66,7 @@ class AdjugateCoeffs:
 
 def char_poly(b: Matrix) -> CharPoly:
     """Characteristic polynomial via the trace-formula recurrence."""
-    n = b.n
-    d: list[Fraction] = []
-    bk = identity(n)
-    for k in range(1, n + 1):
-        prod = bk * b
-        dk = -prod.trace() / k
-        d.append(dk)
-        if k < n:
-            bk = prod + dk * identity(n)
-    return CharPoly(n, tuple(d))
+    return adjugate_coeffs(b).cp
 
 
 def char_poly_minors(b: Matrix) -> CharPoly:
@@ -77,18 +76,34 @@ def char_poly_minors(b: Matrix) -> CharPoly:
 
 
 def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
-    """Matrix coefficients of adj(lambda*I - B), with the characteristic polynomial."""
+    """Matrix coefficients of adj(lambda*I - B), with the characteristic polynomial.
+
+    With B = M/D, D the lcm of the entry denominators, the recurrence
+    C_k = C_{k-1} M + c_k I, c_k = -trace(C_{k-1} M)/k runs over ints; then
+    d_k = c_k/D^k and B_k = C_k/D^k.  For an integer matrix the trace is an
+    exact multiple of k, so a nonzero remainder raises `RecurrenceError`.
+    """
     n = b.n
+    rows = b.rows()
+    den = lcm(*(x.denominator for row in rows for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    m_cols = tuple(zip(*m))
     d: list[Fraction] = []
     coeffs: list[Matrix] = [identity(n)]
-    bk = coeffs[0]
+    c_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
     for k in range(1, n + 1):
-        prod = bk * b
-        dk = -prod.trace() / k
-        d.append(dk)
+        prod = [[sum(map(mul, row, col)) for col in m_cols] for row in c_rows]
+        ck, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        if rem:
+            raise RecurrenceError(f"trace in step {k} of the integer recurrence is not divisible by {k}")
+        scale *= den
+        d.append(Fraction(ck, scale))
         if k < n:
-            bk = prod + dk * identity(n)
-            coeffs.append(bk)
+            for i in range(n):
+                prod[i][i] += ck
+            c_rows = prod
+            coeffs.append(Matrix(tuple(Fraction(x, scale) for x in row) for row in prod))
     return AdjugateCoeffs(n, tuple(coeffs), CharPoly(n, tuple(d)))
 
 

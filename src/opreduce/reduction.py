@@ -123,15 +123,23 @@ def _rhs_terms_adjugate(b: Matrix, coeff_matrices: Sequence[Matrix]) -> tuple[tu
     return tuple(per_variable)
 
 
+def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[ElementColumn]:
+    """A^j phi for j = 0..n-1, each one application from the one before."""
+    powers = [phi]
+    for _ in range(n - 1):
+        powers.append(apply_vector(kind, powers[-1]))
+    return powers
+
+
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
     n = _check_system(b, phi)
-    powered = {k: apply_vector(kind, phi, n - k) for k in range(1, n + 1)}
+    powers = _operator_powers(kind, phi, n)
     terms = _rhs_terms_minors(b)
     evaluated = []
     for i in range(1, n + 1):
         parts = [
-            lincomb([t.sign * c for c in t.coeffs], powered[t.order].entries)
+            lincomb([t.sign * c for c in t.coeffs], powers[t.power].entries)
             for t in terms[i - 1]
         ]
         acc = parts[0]
@@ -150,10 +158,11 @@ def total_reduce_adjugate(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> 
     """Reduce via the adjugate coefficient matrices (production route)."""
     n = _check_system(b, phi)
     ac = adjugate_coeffs(b)
+    powers = _operator_powers(kind, phi, n)
     psi = None
     for k in range(1, n + 1):
         term = ElementColumn(
-            lincomb(row, apply_vector(kind, phi, n - k).entries) for row in ac.coeffs[k - 1].rows()
+            lincomb(row, powers[n - k].entries) for row in ac.coeffs[k - 1].rows()
         )
         psi = term if psi is None else psi + term
     return ReducedSystem(

@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from conftest import random_column, random_matrix, random_rational
+from conftest import DATA_DIR, random_column, random_matrix, random_rational
+from opreduce import faddeev
 from opreduce import (
     CharPoly,
     Matrix,
@@ -18,6 +19,7 @@ from opreduce import (
     mat_vec,
     zeros,
 )
+from opreduce.cli import main
 
 
 class TestCharPoly:
@@ -89,6 +91,67 @@ class TestAdjugateCoeffs:
         for n in range(1, 7):
             for _ in range(5):
                 assert cayley_hamilton_check(random_matrix(rng, n))
+
+
+def fraction_recurrence(b):
+    """The trace recurrence written directly over Fraction, as an oracle for the integer lift."""
+    n = b.n
+    d = []
+    coeffs = [identity(n)]
+    bk = coeffs[0]
+    for k in range(1, n + 1):
+        prod = bk * b
+        dk = -prod.trace() / k
+        d.append(dk)
+        if k < n:
+            bk = prod + dk * identity(n)
+            coeffs.append(bk)
+    return tuple(coeffs), tuple(d)
+
+
+def assert_matches_fraction_recurrence(b):
+    coeffs, d = fraction_recurrence(b)
+    ac = adjugate_coeffs(b)
+    assert ac.coeffs == coeffs
+    assert ac.cp.d == d
+    assert char_poly(b).d == d
+
+
+class TestIntegerLift:
+    def test_random_mixed_denominators(self, rng):
+        for n in range(1, 9):
+            for _ in range(3):
+                assert_matches_fraction_recurrence(random_matrix(rng, n))
+
+    def test_integer_matrix(self, rng):
+        b = Matrix([[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)])
+        assert_matches_fraction_recurrence(b)
+
+    def test_zero_and_identity(self):
+        for n in (1, 3, 6):
+            assert_matches_fraction_recurrence(zeros(n))
+            assert_matches_fraction_recurrence(identity(n))
+        assert adjugate_coeffs(zeros(3)).cp.d == (0, 0, 0)
+
+    def test_large_coprime_denominators(self):
+        b = Matrix(
+            [
+                ["1/7919", "3/7907", "-5/7901"],
+                ["2/7883", "-1/7879", "4/7877"],
+                ["-7/7873", "6/7867", "1/7853"],
+            ]
+        )
+        assert_matches_fraction_recurrence(b)
+
+    def test_inexact_division_is_an_internal_error(self, monkeypatch):
+        # the remainder can only be nonzero through a bug, so fake one
+        monkeypatch.setattr(faddeev, "divmod", lambda a, k: (0, 1), raising=False)
+        with pytest.raises(faddeev.RecurrenceError) as info:
+            adjugate_coeffs(Matrix([[1, 2], [3, 4]]))
+        assert not isinstance(info.value, ValueError)
+        # the CLI does not report it as an input error (exit 2)
+        with pytest.raises(faddeev.RecurrenceError):
+            main(["reduce", "--spec", str(DATA_DIR / "shift_2x2.json")])
 
 
 class TestAdjugateAt:

@@ -33,6 +33,7 @@ from opreduce import (
     total_reduce_minors,
     verify_total_reduction,
 )
+from opreduce import reduction
 
 SHIFT = OperatorKind.SHIFT
 DERIV = OperatorKind.DERIVATIVE
@@ -149,6 +150,27 @@ class TestRouteEquality:
             assert [t.power for t in terms] == [3, 2, 1, 0]
             assert all(t.variable == i for t in terms)
             assert all(t.descriptor.anchor == i and t.descriptor.substituted for t in terms)
+
+
+class TestOperatorPowers:
+    @pytest.mark.parametrize("kind", [SHIFT, DERIV, ZERO])
+    def test_each_power_computed_once(self, rng, monkeypatch, kind):
+        calls = []
+
+        def counting_apply_vector(*args):
+            calls.append(args)
+            return apply_vector(*args)
+
+        monkeypatch.setattr(reduction, "apply_vector", counting_apply_vector)
+        for n in (1, 4, 6):
+            b = random_matrix(rng, n)
+            phi = phi_column(kind, rng, n)
+            for route in (total_reduce_adjugate, total_reduce_minors):
+                calls.clear()
+                route(b, phi, kind)
+                assert len(calls) <= n
+            powers = reduction._operator_powers(kind, phi, n)
+            assert powers == [apply_vector(kind, phi, j) for j in range(n)]
 
 
 class TestManufacturedSolutions:
