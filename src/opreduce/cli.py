@@ -9,9 +9,11 @@ both.  Exit codes: 0 success, 2 input error, 3 mathematical degeneracy
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .cauchy import CauchyProblem, solve_cauchy, verify_total_reduction
@@ -21,7 +23,7 @@ from .exactcore import (
     format_rational,
     mat_vec,
 )
-from .faddeev import cayley_hamilton_check, char_poly, char_poly_minors
+from .faddeev import adjugate_coeffs, cayley_hamilton_check, char_poly_minors
 from .operators import HeterogeneousColumnError, HorizonError, OperatorKind
 from .reduction import (
     SingularMatrixError,
@@ -161,16 +163,47 @@ def _emit(payload: dict, text_renderer, args) -> None:
             handle.write(body)
 
 
-def _check_cap(n: int, nmax: int) -> None:
-    if n > nmax:
-        raise SpecError(
-            f"dimension n = {n} exceeds the brute-force cap {nmax}; raise --nmax to override"
-        )
+@contextmanager
+def _no_int_str_digit_limit():
+    """Lift CPython's int/str digit limit for the block, then restore it.
+
+    Interpreters without the limit (before 3.10.7) run the block unchanged.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
-def cmd_reduce(args) -> int:
-    spec = load_spec(args.spec)
-    _check_cap(spec.n, args.nmax)
+def _spec_command(body):
+    """Load ``--spec``, check ``--nmax``, then run ``body(args, spec)``.
+
+    The spec is parsed under the interpreter's int/str digit limit, which
+    guards against hostile literals.  Exact results can grow far past it,
+    so the report is computed and written without the limit.
+    """
+
+    @functools.wraps(body)
+    def command(args) -> int:
+        spec = load_spec(args.spec)
+        if spec.n > args.nmax:
+            raise SpecError(
+                f"dimension n = {spec.n} exceeds the brute-force cap {args.nmax}; "
+                "raise --nmax to override"
+            )
+        with _no_int_str_digit_limit():
+            return body(args, spec)
+
+    return command
+
+
+@_spec_command
+def cmd_reduce(args, spec) -> int:
     adjugate = total_reduce_adjugate(spec.matrix, spec.phi, spec.operator)
     minors = total_reduce_minors(spec.matrix, spec.phi, spec.operator)
     agreement = (
@@ -190,9 +223,8 @@ def cmd_reduce(args) -> int:
     return EXIT_OK if agreement else EXIT_IDENTITY
 
 
-def cmd_solve(args) -> int:
-    spec = load_spec(args.spec)
-    _check_cap(spec.n, args.nmax)
+@_spec_command
+def cmd_solve(args, spec) -> int:
     if spec.operator is not OperatorKind.SHIFT:
         raise SpecError("solve needs the shift operator")
     if spec.initial is None:
@@ -240,9 +272,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-def cmd_cramer(args) -> int:
-    spec = load_spec(args.spec)
-    _check_cap(spec.n, args.nmax)
+@_spec_command
+def cmd_cramer(args, spec) -> int:
     if spec.operator is not OperatorKind.ZERO:
         raise SpecError("cramer needs the zero operator")
     constants = []
@@ -299,13 +330,14 @@ def cmd_oracle(args) -> int:
         n = args.nmin + trial % span
         b = _random_matrix(rng, n)
         v = _random_column(rng, n)
+        ac = adjugate_coeffs(b)
         record("lemma1", all(lemma1_check(b, k, v) for k in range(1, n + 1)))
-        record("lemma2", all(lemma2_check(b, k, v) for k in range(0, n)))
+        record("lemma2", all(lemma2_check(b, ac, k, v) for k in range(0, n)))
         reference = char_poly_minors(b).d
         if args.inject_fault:
             reference = (-reference[0],) + reference[1:]
-        record("char_poly_routes", char_poly(b).d == reference)
-        record("cayley_hamilton", cayley_hamilton_check(b))
+        record("char_poly_routes", ac.cp.d == reference)
+        record("cayley_hamilton", cayley_hamilton_check(b, ac))
 
     all_passed = all(result["fail"] == 0 for result in checks.values())
     payload = {
@@ -321,9 +353,8 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if all_passed else EXIT_IDENTITY
 
 
-def cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    _check_cap(spec.n, args.nmax)
+@_spec_command
+def cmd_verify(args, spec) -> int:
     if spec.x is None:
         raise SpecError("spec field x: missing (required by verify)")
     report = verify_total_reduction(spec.matrix, spec.x, spec.phi, spec.operator)

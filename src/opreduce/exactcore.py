@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -226,8 +227,8 @@ def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
 def det_cofactor(m: Matrix) -> Fraction:
     """Determinant by cofactor expansion along the first row.
 
-    Factorial cost; used directly for n <= 3 and as an independent oracle
-    for the fraction-free route in tests.
+    Factorial cost; kept as an independent oracle for the fraction-free
+    kernel in tests.
     """
     n = m.n
     rows = m.rows()
@@ -251,36 +252,42 @@ def det_cofactor(m: Matrix) -> Fraction:
     return expand(indices, indices)
 
 
-def det_bareiss(m: Matrix) -> Fraction:
-    """Determinant by fraction-free (one-step) elimination.
+def clear_denominators(m: Matrix) -> tuple[int, list[list[int]]]:
+    """``(D, rows of D*m)``: D is the lcm of the entry denominators, the rows are ints."""
+    rows = m.rows()
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
-    Intermediate divisions are exact, which bounds coefficient growth
-    compared to plain Gaussian elimination on big rationals.
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Each step replaces the active block by the order-2 minors through the
+    pivot divided by the previous pivot, a division that is exact over the
+    integers; a zero pivot is swapped for a later nonzero one.  The input is
+    not modified, and the empty matrix has determinant 1.
     """
-    n = m.n
-    a = [list(row) for row in m.rows()]
+    a = rows
     sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+    prev = 1
+    while len(a) > 1:
+        if not a[0][0]:
+            r = next((r for r in range(1, len(a)) if a[r][0]), None)
+            if r is None:
+                return 0
+            a = [a[r], *a[1:r], a[0], *a[r + 1 :]]
+            sign = -sign
+        pivot, *tail = a[0]
+        a = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for row in a[1:]
+        ]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[0][0] if a else 1
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant; cofactor expansion for n <= 3, Bareiss elimination above."""
-    if m.n <= 3:
-        return det_cofactor(m)
-    return det_bareiss(m)
+    """Exact determinant: the integer kernel on D*m, scaled back once by D^n."""
+    n = m.n
+    den, rows = clear_denominators(m)
+    return Fraction(det_int(rows), den**n)

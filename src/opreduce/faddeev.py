@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .exactcore import Matrix, as_rational, identity, zeros
+from .exactcore import Matrix, as_rational, clear_denominators, identity, zeros
 from .minors import delta_k
 
 
@@ -84,9 +83,7 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
     exact multiple of k, so a nonzero remainder raises `RecurrenceError`.
     """
     n = b.n
-    rows = b.rows()
-    den = lcm(*(x.denominator for row in rows for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    den, m = clear_denominators(b)
     m_cols = tuple(zip(*m))
     d: list[Fraction] = []
     coeffs: list[Matrix] = [identity(n)]
@@ -116,13 +113,12 @@ def adjugate_at(ac: AdjugateCoeffs, lam) -> Matrix:
     return acc
 
 
-def cayley_hamilton_residual(b: Matrix) -> Matrix:
-    """B_{n-1} B + d_n I; the zero matrix whenever the recurrence is correct."""
-    ac = adjugate_coeffs(b)
+def cayley_hamilton_residual(b: Matrix, ac: AdjugateCoeffs) -> Matrix:
+    """B_{n-1} B + d_n I for the coefficients ``ac`` of B; zero whenever they are correct."""
     n = b.n
     return ac.coeffs[n - 1] * b + ac.cp.coefficient(n) * identity(n)
 
 
-def cayley_hamilton_check(b: Matrix) -> bool:
-    """True iff the recurrence terminates at zero, as the Cayley-Hamilton theorem demands."""
-    return cayley_hamilton_residual(b) == zeros(b.n)
+def cayley_hamilton_check(b: Matrix, ac: AdjugateCoeffs) -> bool:
+    """True iff ``ac`` terminates the recurrence at zero, as the Cayley-Hamilton theorem demands."""
+    return cayley_hamilton_residual(b, ac) == zeros(b.n)

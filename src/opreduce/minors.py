@@ -6,6 +6,13 @@ whose index set contains i.  Enumeration is exponential by design: this module
 is the specification-by-enumeration that every polynomial-time route in the
 package is checked against.
 
+Each function clears denominators once per call (M = D*m, all entries
+ints, `exactcore.clear_denominators`), evaluates every minor of M with the
+integer kernel `exactcore.det_int`, sums the integer minors of one order k
+and scales the sum back once by D^k.  No `Matrix` or `Fraction` is built
+per minor.  The enumeration shares nothing with the trace recurrence of
+`faddeev`, so it stays an independent check of it.
+
 Subsets are enumerated in lexicographic order; exact arithmetic makes the
 summation order irrelevant, fixing it just keeps debugging deterministic.
 """
@@ -17,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, column_substitute, det
+from .exactcore import Matrix, as_column, clear_denominators, column_substitute, det_int
 
 
 @dataclass(frozen=True)
@@ -35,10 +42,8 @@ class MinorDescriptor:
             raise ValueError("anchor column index is 1-based")
 
 
-def principal_submatrix(m: Matrix, subset: Sequence[int]) -> Matrix:
-    """Submatrix selected by the same 0-based index set for rows and columns."""
-    rows = m.rows()
-    return Matrix(tuple(rows[r][c] for c in subset) for r in subset)
+def _principal_minor(rows: list[list[int]], subset: Sequence[int]) -> int:
+    return det_int([[rows[r][c] for c in subset] for r in subset])
 
 
 def delta_k(m: Matrix, k: int) -> Fraction:
@@ -50,10 +55,9 @@ def delta_k(m: Matrix, k: int) -> Fraction:
         return Fraction(1)
     if k > n:
         return Fraction(0)
-    total = Fraction(0)
-    for subset in combinations(range(n), k):
-        total += det(principal_submatrix(m, subset))
-    return total
+    den, rows = clear_denominators(m)
+    total = sum(_principal_minor(rows, subset) for subset in combinations(range(n), k))
+    return Fraction(total, den**k)
 
 
 def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
@@ -71,13 +75,12 @@ def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
         raise ValueError(f"substituted column has {len(col)} entries, expected {n}")
     if k > n:
         return Fraction(0)
-    substituted = column_substitute(m, i, col)
+    den, rows = clear_denominators(column_substitute(m, i, col))
     anchor = i - 1
-    total = Fraction(0)
-    for subset in combinations(range(n), k):
-        if anchor in subset:
-            total += det(principal_submatrix(substituted, subset))
-    return total
+    total = sum(
+        _principal_minor(rows, subset) for subset in combinations(range(n), k) if anchor in subset
+    )
+    return Fraction(total, den**k)
 
 
 def delta_vec(m: Matrix, k: int, v: Sequence) -> tuple[Fraction, ...]:
@@ -99,10 +102,10 @@ def delta_k_i_coeffs(m: Matrix, k: int, i: int) -> tuple[Fraction, ...]:
     if not 1 <= i <= n:
         raise IndexError(f"column {i} out of range for dimension {n}")
     anchor = i - 1
-    coeffs = [Fraction(0)] * n
     if k > n:
-        return tuple(coeffs)
-    rows = m.rows()
+        return (Fraction(0),) * n
+    den, rows = clear_denominators(m)
+    coeffs = [0] * n
     for subset in combinations(range(n), k):
         if anchor not in subset:
             continue
@@ -110,9 +113,7 @@ def delta_k_i_coeffs(m: Matrix, k: int, i: int) -> tuple[Fraction, ...]:
         minor_cols = subset[:q] + subset[q + 1 :]
         for p, r in enumerate(subset):
             minor_rows = subset[:p] + subset[p + 1 :]
-            if k == 1:
-                cof = Fraction(1)
-            else:
-                cof = det(Matrix(tuple(rows[rr][cc] for cc in minor_cols) for rr in minor_rows))
+            cof = det_int([[rows[rr][cc] for cc in minor_cols] for rr in minor_rows])
             coeffs[r] += (-1) ** (p + q) * cof
-    return tuple(coeffs)
+    scale = den ** (k - 1)
+    return tuple(Fraction(c, scale) for c in coeffs)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactcore import Matrix, as_column, column_substitute, det, mat_vec
-from .faddeev import CharPoly, adjugate_coeffs, char_poly_minors
+from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, char_poly_minors
 from .minors import MinorDescriptor, delta_k, delta_k_i_coeffs, delta_vec
 from .operators import (
     ElementColumn,
@@ -215,12 +215,15 @@ def lemma1_check(b: Matrix, k: int, v: Sequence) -> bool:
     return all(a + c == rhs_scale * x for a, c, x in zip(lhs1, lhs2, col))
 
 
-def lemma2_check(b: Matrix, k: int, v: Sequence) -> bool:
-    """Exact identity: B_k * v = (-1)^k * (order k+1 anchored minor sums of v)."""
+def lemma2_check(b: Matrix, ac: AdjugateCoeffs, k: int, v: Sequence) -> bool:
+    """Exact identity: B_k * v = (-1)^k * (order k+1 anchored minor sums of v).
+
+    ``ac`` holds the adjugate coefficients of b under test, so one
+    computation serves every k.
+    """
     if not 0 <= k <= b.n - 1:
         raise IndexError(f"adjugate coefficient index {k} out of range 0..{b.n - 1}")
     col = as_column(v)
-    ac = adjugate_coeffs(b)
     lhs = mat_vec(ac.coeffs[k], col)
     rhs = tuple((-1) ** k * c for c in delta_vec(b, k + 1, col))
     return lhs == rhs

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import DATA_DIR
 from opreduce import (
     ElementColumn,
@@ -223,6 +225,52 @@ class TestSolve:
         rc, _, err = run_cli(capsys, ["solve", "--spec", spec])
         assert rc == 2
         assert "shift" in err
+
+    def test_results_past_the_int_digit_limit(self, capsys, tmp_path):
+        # x_t = 10^(10 t) reaches 5001 digits at t = 500, past CPython's
+        # default 4300-digit limit on int/str conversion
+        horizon = 500
+        spec = write_spec(
+            tmp_path,
+            {
+                "n": 1,
+                "matrix": [["10000000000"]],
+                "operator": "shift",
+                "phi": [{"origin": 0, "values": ["0"] * (horizon + 1)}],
+                "initial": {"t0": 0, "x0": ["1"]},
+                "horizon": horizon,
+            },
+        )
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        rc, out, err = run_cli(capsys, ["solve", "--spec", spec, "--format", "json"])
+        assert (rc, err) == (0, "")
+        report = json.loads(out)
+        assert report["trajectories"][0]["values"][-1] == "1" + "0" * 5000
+        assert report["all_zero"] is True
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+    )
+    def test_spec_literals_stay_under_the_int_digit_limit(self, capsys, tmp_path):
+        digits = sys.get_int_max_str_digits()
+        if digits == 0:
+            pytest.skip("int/str digit limit is switched off")
+        spec = write_spec(
+            tmp_path,
+            {
+                "n": 1,
+                "matrix": [["1" * (digits + 1)]],
+                "operator": "shift",
+                "phi": [{"origin": 0, "values": ["0", "0", "0"]}],
+                "initial": {"t0": 0, "x0": ["1"]},
+                "horizon": 2,
+            },
+        )
+        rc, _, err = run_cli(capsys, ["solve", "--spec", spec])
+        assert rc == 2
+        assert "matrix" in err
 
 
 class TestCramer:

@@ -13,7 +13,6 @@ from opreduce import (
     column_of,
     column_substitute,
     det,
-    det_bareiss,
     det_cofactor,
     format_rational,
     identity,
@@ -21,6 +20,7 @@ from opreduce import (
     parse_rational,
     zeros,
 )
+from opreduce.exactcore import clear_denominators, det_int
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 
@@ -140,11 +140,11 @@ class TestDeterminant:
         for n in range(1, 7):
             for _ in range(12):
                 m = random_matrix(rng, n)
-                assert det_bareiss(m) == det_cofactor(m)
+                assert det(m) == det_cofactor(m)
 
     def test_bareiss_zero_pivot_needs_swap(self):
         m = Matrix([[0, 1, 2, 3], [1, 0, 1, 1], [2, 1, 0, 5], [1, 1, 1, 0]])
-        assert det_bareiss(m) == det_cofactor(m)
+        assert det(m) == det_cofactor(m)
 
     def test_singular_after_elimination(self):
         # first column forces the no-pivot branch midway
@@ -175,3 +175,35 @@ class TestDeterminant:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             det(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+class TestIntegerKernel:
+    def test_clear_denominators(self):
+        den, rows = clear_denominators(Matrix([["1/2", "-2/3"], [5, "3/4"]]))
+        assert den == 12
+        assert rows == [[6, -8], [60, 9]]
+        assert all(type(x) is int for row in rows for x in row)
+
+    def test_pivot_vanishes_mid_elimination(self):
+        # after the first step the active block starts with a zero pivot
+        m = Matrix([[1, 2, 3, 4], [2, 4, 7, 1], [3, 7, 2, 5], [1, 3, 1, 1]])
+        _, rows = clear_denominators(m)
+        assert (rows[1][1] * rows[0][0] - rows[1][0] * rows[0][1]) == 0
+        assert det_int(rows) == det_cofactor(m) != 0
+
+    def test_rank_deficient_and_zero(self, rng):
+        for n in range(1, 7):
+            assert det_int([[0] * n for _ in range(n)]) == 0
+        for n in range(2, 7):
+            rows = list(random_matrix(rng, n).rows())
+            # last row a combination of two earlier rows: rank at most n - 1
+            rows[-1] = tuple(Fraction(3, 2) * a - 2 * b for a, b in zip(rows[0], rows[n - 2]))
+            singular = Matrix(rows)
+            _, int_rows = clear_denominators(singular)
+            assert det_int(int_rows) == det_cofactor(singular) == 0
+
+    def test_empty_matrix_and_input_untouched(self):
+        assert det_int([]) == 1
+        rows = [[0, 1], [1, 0]]
+        assert det_int(rows) == -1
+        assert rows == [[0, 1], [1, 0]]

@@ -1,30 +1,37 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from conftest import random_column, random_matrix
+from conftest import random_column, random_matrix, random_sequence_column
 from opreduce import (
     Matrix,
     MinorDescriptor,
+    OperatorKind,
     column_of,
     delta_k,
     delta_k_i,
     delta_k_i_coeffs,
     delta_vec,
-    det,
+    det_cofactor,
     identity,
     mat_vec,
+    total_reduce_minors,
 )
-from opreduce.minors import principal_submatrix
+from opreduce import exactcore
 
 
 def anchored_minor_sum(m, k, i):
-    """In-test enumeration: sum of order-k principal minors of m containing column i."""
+    """In-test enumeration: sum of order-k principal minors of m containing column i.
+
+    Uses cofactor expansion, so it shares no code with the integer kernel it checks.
+    """
+    rows = m.rows()
     return sum(
         (
-            det(principal_submatrix(m, s))
+            det_cofactor(Matrix([[rows[r][c] for c in s] for r in s]))
             for s in combinations(range(m.n), k)
             if (i - 1) in s
         ),
@@ -168,6 +175,32 @@ class TestCoefficientFunctional:
     def test_beyond_order_n_is_zero(self, rng):
         m = random_matrix(rng, 2)
         assert delta_k_i_coeffs(m, 3, 1) == (0, 0)
+
+
+class TestIntegerEnumeration:
+    def test_enumeration_makes_no_public_det_calls(self, rng, monkeypatch):
+        # every minor goes through the integer kernel on rows cleared once per
+        # call, never through a Matrix handed to the public det
+        calls = []
+        original = exactcore.det
+
+        def counting_det(m):
+            calls.append(m)
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name == "opreduce" or name.startswith("opreduce."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting_det)
+        assert exactcore.det is counting_det
+        for n in (1, 3, 5):
+            b = random_matrix(rng, n)
+            v = random_column(rng, n)
+            total_reduce_minors(b, random_sequence_column(rng, n, horizon=n + 2), OperatorKind.SHIFT)
+            for k in range(1, n + 1):
+                delta_vec(b, k, v)
+        assert calls == []
 
 
 def test_minor_descriptor_validation():

@@ -19,6 +19,7 @@ from opreduce import (
     OperatorKind,
     Polynomial,
     SingularMatrixError,
+    adjugate_coeffs,
     apply_vector,
     cramer_solve,
     cramer_via_zero_reduction,
@@ -243,7 +244,8 @@ class TestLemmaChecks:
             b = random_matrix(rng, n)
             v = [random_rational(rng) for _ in range(n)]
             assert all(lemma1_check(b, k, v) for k in range(1, n + 1))
-            assert all(lemma2_check(b, k, v) for k in range(0, n))
+            ac = adjugate_coeffs(b)
+            assert all(lemma2_check(b, ac, k, v) for k in range(0, n))
 
     def test_identity_case_both_sides(self):
         from opreduce import delta_k, delta_vec
@@ -266,4 +268,4 @@ class TestLemmaChecks:
     def test_lemma2_range_checked(self, rng):
         b = random_matrix(rng, 2)
         with pytest.raises(IndexError):
-            lemma2_check(b, 2, [1, 2])
+            lemma2_check(b, adjugate_coeffs(b), 2, [1, 2])
