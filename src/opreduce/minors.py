@@ -10,8 +10,12 @@ Each function clears denominators once per call (M = D*m, all entries
 ints, `exactcore.clear_denominators`), evaluates every minor of M with the
 integer kernel `exactcore.det_int`, sums the integer minors of one order k
 and scales the sum back once by D^k.  No `Matrix` or `Fraction` is built
-per minor.  The enumeration shares nothing with the trace recurrence of
-`faddeev`, so it stays an independent check of it.
+per minor.  The one order-n principal minor is the determinant, so
+``delta_k(m, n)`` is `exactcore.det`, which runs the same helper and kernel.
+The enumeration shares only `clear_denominators` with the trace recurrence
+of `faddeev`; that helper is checked on its own (`det` against
+`det_cofactor`, and its own tests), so the enumeration stays an
+independent check of the recurrence.
 
 Subsets are enumerated in lexicographic order; exact arithmetic makes the
 summation order irrelevant, fixing it just keeps debugging deterministic.
@@ -24,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, clear_denominators, column_substitute, det_int
+from .exactcore import Matrix, as_column, clear_denominators, column_substitute, det, det_int
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ def delta_k(m: Matrix, k: int) -> Fraction:
         return Fraction(1)
     if k > n:
         return Fraction(0)
+    if k == n:
+        return det(m)
     den, rows = clear_denominators(m)
     total = sum(_principal_minor(rows, subset) for subset in combinations(range(n), k))
     return Fraction(total, den**k)

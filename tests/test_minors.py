@@ -53,6 +53,14 @@ class TestDeltaK:
     def test_two_by_two_full_order(self):
         assert delta_k(Matrix([[1, 2], [3, 4]]), 2) == -2
 
+    def test_every_order_matches_cofactor_enumeration(self, rng):
+        # order n is det(m) itself; lower orders sum the kernel over subsets
+        for n in range(1, 6):
+            m = random_matrix(rng, n)
+            for k in range(1, n + 1):
+                reference = sum(anchored_minor_sum(m, k, i) for i in range(1, n + 1)) / k
+                assert delta_k(m, k) == reference
+
     def test_conventions(self, rng):
         m = random_matrix(rng, 3)
         assert delta_k(m, 0) == 1
@@ -178,9 +186,10 @@ class TestCoefficientFunctional:
 
 
 class TestIntegerEnumeration:
-    def test_enumeration_makes_no_public_det_calls(self, rng, monkeypatch):
-        # every minor goes through the integer kernel on rows cleared once per
-        # call, never through a Matrix handed to the public det
+    def test_enumeration_calls_public_det_only_for_the_full_matrix(self, rng, monkeypatch):
+        # every minor below order n goes through the integer kernel on rows
+        # cleared once per call, never through a Matrix handed to the public
+        # det; only the one order-n principal minor, det(B) itself, does
         calls = []
         original = exactcore.det
 
@@ -198,9 +207,11 @@ class TestIntegerEnumeration:
             b = random_matrix(rng, n)
             v = random_column(rng, n)
             total_reduce_minors(b, random_sequence_column(rng, n, horizon=n + 2), OperatorKind.SHIFT)
+            assert calls == [b]
+            calls.clear()
             for k in range(1, n + 1):
                 delta_vec(b, k, v)
-        assert calls == []
+            assert calls == []
 
 
 def test_minor_descriptor_validation():
