@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -521,3 +524,68 @@ def test_module_invocation_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["route_agreement"] is True
+
+
+# Golden reports: every case is one CLI invocation whose exit code, stdout and
+# stderr are pinned in tests/data/cli_goldens.json.  Regenerate that file
+# with `PYTHONPATH=src python tests/test_cli.py` after an intended change of
+# output.  zero_3x3.json's candidate x is the Cramer solution with its second
+# component off by one, so its verify case pins the NONZERO path.
+ORACLE = ["oracle", "--seed", "5", "--trials", "12", "--nmax", "4"]
+GOLDEN_CASES = {
+    "reduce-shift-json": ["reduce", "--spec", "shift_2x2_x.json", "--format", "json"],
+    "reduce-shift-text": ["reduce", "--spec", "shift_2x2_x.json"],
+    "reduce-derivative-json": ["reduce", "--spec", "derivative_3x3_x.json", "--format", "json"],
+    "reduce-derivative-text": ["reduce", "--spec", "derivative_3x3_x.json"],
+    "reduce-zero-json": ["reduce", "--spec", "zero_3x3.json", "--format", "json"],
+    "reduce-zero-text": ["reduce", "--spec", "zero_3x3.json"],
+    "solve-shift-json": ["solve", "--spec", "shift_2x2_x.json", "--format", "json"],
+    "solve-shift-text": ["solve", "--spec", "shift_2x2_x.json"],
+    "solve-derivative-rejected": ["solve", "--spec", "derivative_3x3_x.json"],
+    "verify-shift-json": ["verify", "--spec", "shift_2x2_x.json", "--format", "json"],
+    "verify-shift-text": ["verify", "--spec", "shift_2x2_x.json"],
+    "verify-derivative-json": ["verify", "--spec", "derivative_3x3_x.json", "--format", "json"],
+    "verify-derivative-text": ["verify", "--spec", "derivative_3x3_x.json"],
+    "verify-zero-nonzero-json": ["verify", "--spec", "zero_3x3.json", "--format", "json"],
+    "verify-zero-nonzero-text": ["verify", "--spec", "zero_3x3.json"],
+    "cramer-zero-json": ["cramer", "--spec", "zero_3x3.json", "--format", "json"],
+    "cramer-zero-text": ["cramer", "--spec", "zero_3x3.json"],
+    "cramer-shift-rejected": ["cramer", "--spec", "shift_2x2_x.json"],
+    "oracle-json": [*ORACLE, "--format", "json"],
+    "oracle-text": ORACLE,
+    "oracle-fault-json": [*ORACLE, "--inject-fault", "--format", "json"],
+    "oracle-fault-text": [*ORACLE, "--inject-fault"],
+    "help": ["--help"],
+    **{f"help-{name}": [name, "--help"] for name in ("reduce", "solve", "cramer", "oracle", "verify")},
+}
+GOLDEN_PATH = DATA_DIR / "cli_goldens.json"
+
+
+def run_golden_case(argv):
+    """Exit code, stdout and stderr of one CLI call, spec paths under tests/data."""
+    argv = [str(DATA_DIR / arg) if arg.endswith(".json") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps help text to the terminal width it reads from COLUMNS
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_golden_cases_match_the_golden_file():
+    assert sorted(json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))) == sorted(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_report(name):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
+    assert run_golden_case(GOLDEN_CASES[name]) == golden
+
+
+if __name__ == "__main__":
+    goldens = {name: run_golden_case(argv) for name, argv in sorted(GOLDEN_CASES.items())}
+    GOLDEN_PATH.write_text(json.dumps(goldens, indent=2) + "\n", encoding="utf-8")
