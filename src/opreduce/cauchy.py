@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Matrix, as_column, mat_vec
+from .exactcore import Matrix, as_column, identity, mat_vec
 from .operators import (
     ElementColumn,
     FiniteSequence,
@@ -106,27 +106,30 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     )
 
 
-def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0, i: int, j: int) -> Fraction:
-    """Initial value of the j-th operator power of variable i.
+def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple[Fraction, ...], ...]:
+    """Initial values of the operator powers 1..n-1 of every variable.
 
-    Computes [B^j x(t0)]_i + sum_{k=0}^{j-1} [B^(j-1-k) (A^k phi)(t0)]_i, which
-    for the shift kind equals the trajectory value x_i(t0 + j).
+    Entry [i-1][j-1] is [B^j x(t0)]_i + sum_{k=0}^{j-1} [B^(j-1-k) (A^k phi)(t0)]_i,
+    which for the shift kind equals the trajectory value x_i(t0 + j).  Each
+    power B^j is computed once.
     """
     n = b.n
-    if not 1 <= i <= n:
-        raise IndexError(f"variable index {i} out of range 1..{n}")
-    if not 1 <= j <= n - 1:
-        raise IndexError(f"operator power {j} out of range 1..{n - 1}")
     if phi.variant != "sequence":
         raise ValueError("derived initial conditions need a sequence free column")
-    if phi.entries[0].horizon <= j:
-        raise HorizonError(f"free column horizon {phi.entries[0].horizon} too short for power {j}")
+    if phi.entries[0].horizon <= n - 1:
+        raise HorizonError(f"free column horizon {phi.entries[0].horizon} too short for power {n - 1}")
     start = as_column(x0)
-    total = mat_vec(b ** j, start)[i - 1]
-    for k in range(j):
-        phi_k_at_t0 = tuple(entry.values[k] for entry in phi.entries)
-        total += mat_vec(b ** (j - 1 - k), phi_k_at_t0)[i - 1]
-    return total
+    b_powers = [identity(n)]
+    for _ in range(n - 1):
+        b_powers.append(b_powers[-1] * b)
+    phi_at_t0 = [tuple(entry.values[k] for entry in phi.entries) for k in range(n - 1)]
+    columns = []
+    for j in range(1, n):
+        total = mat_vec(b_powers[j], start)
+        for k in range(j):
+            total = tuple(a + c for a, c in zip(total, mat_vec(b_powers[j - 1 - k], phi_at_t0[k])))
+        columns.append(total)
+    return tuple(tuple(column[i] for column in columns) for i in range(n))
 
 
 def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> ElementColumn:
@@ -155,12 +158,7 @@ def verify_total_reduction(
     if x.variant != phi.variant:
         raise ValueError("candidate and free columns must share a variant")
     reduced = total_reduce_adjugate(b, phi, kind)
-    cross = total_reduce_minors(b, phi, kind)
-    agreement = (
-        reduced.rhs_evaluated == cross.rhs_evaluated
-        and reduced.cp == cross.cp
-        and reduced.rhs_symbolic == cross.rhs_symbolic
-    )
+    agreement = reduced == total_reduce_minors(b, phi, kind)
     residuals = []
     for idx in range(n):
         res = eval_scalar_equation(reduced.cp, kind, x[idx], reduced.rhs_evaluated[idx])
@@ -185,11 +183,7 @@ def solve_cauchy(problem: CauchyProblem) -> tuple[ElementColumn, VerificationRep
     Returns (trajectories, verification, derived) where derived[i-1][j-1]
     is the initial value of the j-th operator power of variable i.
     """
-    n = problem.b.n
     trajectories = iterate_difference(problem.b, problem.phi, problem.x0, problem.horizon)
     verification = verify_total_reduction(problem.b, trajectories, problem.phi, OperatorKind.SHIFT)
-    derived = tuple(
-        tuple(derived_initial_conditions(problem.b, problem.phi, problem.x0, i, j) for j in range(1, n))
-        for i in range(1, n + 1)
-    )
+    derived = derived_initial_conditions(problem.b, problem.phi, problem.x0)
     return trajectories, verification, derived

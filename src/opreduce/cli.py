@@ -94,27 +94,33 @@ def _reduce_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _residual_lines(payload: dict, residuals: list, extra: list) -> list:
+    """Left-hand side, one status line per residual, extra lines, then the verdicts."""
+    lines = [f"left-hand side: {payload['lhs']}"]
+    for block in residuals:
+        window = block.get("window")
+        where = f" on [{window['origin']}, {window['origin'] + window['length'] - 1}]" if window else ""
+        status = "zero" if block["is_zero"] else "NONZERO"
+        lines.append(f"residual x{block['variable']}{where}: {status}")
+    return lines + extra + [
+        f"route agreement: {str(payload['route_agreement']).lower()}",
+        f"all residuals zero: {str(payload['all_zero']).lower()}",
+    ]
+
+
 def _solve_text(payload: dict) -> str:
     lines = [
         f"initial-value solution, n = {payload['n']}, t0 = {payload['t0']}, horizon = {payload['horizon']}",
     ]
     for traj in payload["trajectories"]:
         lines.append(f"x{traj['variable']}: {', '.join(traj['values'])}")
-    lines.append(f"left-hand side: {payload['lhs']}")
-    for block in payload["verification"]:
-        window = block.get("window")
-        where = f" on [{window['origin']}, {window['origin'] + window['length'] - 1}]" if window else ""
-        status = "zero" if block["is_zero"] else "NONZERO"
-        lines.append(f"residual x{block['variable']}{where}: {status}")
-    for block in payload["derived_conditions"]:
-        if block["values"]:
-            lines.append(
-                f"derived conditions x{block['variable']} (powers 1..{len(block['values'])}): "
-                f"{', '.join(block['values'])} (match trajectory: {str(block['matches_trajectory']).lower()})"
-            )
-    lines.append(f"route agreement: {str(payload['route_agreement']).lower()}")
-    lines.append(f"all residuals zero: {str(payload['all_zero']).lower()}")
-    return "\n".join(lines) + "\n"
+    derived = [
+        f"derived conditions x{block['variable']} (powers 1..{len(block['values'])}): "
+        f"{', '.join(block['values'])} (match trajectory: {str(block['matches_trajectory']).lower()})"
+        for block in payload["derived_conditions"]
+        if block["values"]
+    ]
+    return "\n".join(lines + _residual_lines(payload, payload["verification"], derived)) + "\n"
 
 
 def _cramer_text(payload: dict) -> str:
@@ -140,15 +146,7 @@ def _oracle_text(payload: dict) -> str:
 
 def _verify_text(payload: dict) -> str:
     lines = [f"verification of candidate solution, n = {payload['n']}"]
-    lines.append(f"left-hand side: {payload['lhs']}")
-    for block in payload["residuals"]:
-        window = block.get("window")
-        where = f" on [{window['origin']}, {window['origin'] + window['length'] - 1}]" if window else ""
-        status = "zero" if block["is_zero"] else "NONZERO"
-        lines.append(f"residual x{block['variable']}{where}: {status}")
-    lines.append(f"route agreement: {str(payload['route_agreement']).lower()}")
-    lines.append(f"all residuals zero: {str(payload['all_zero']).lower()}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _residual_lines(payload, payload["residuals"], [])) + "\n"
 
 
 def _emit(payload: dict, text_renderer, args) -> None:
@@ -204,19 +202,14 @@ def _spec_command(body):
 
 @_spec_command
 def cmd_reduce(args, spec) -> int:
-    adjugate = total_reduce_adjugate(spec.matrix, spec.phi, spec.operator)
-    minors = total_reduce_minors(spec.matrix, spec.phi, spec.operator)
-    agreement = (
-        adjugate.rhs_evaluated == minors.rhs_evaluated
-        and adjugate.cp == minors.cp
-        and adjugate.rhs_symbolic == minors.rhs_symbolic
-    )
+    reduced = total_reduce_adjugate(spec.matrix, spec.phi, spec.operator)
+    agreement = reduced == total_reduce_minors(spec.matrix, spec.phi, spec.operator)
     payload = {
         "command": "reduce",
         "n": spec.n,
         "operator": spec.operator.value,
-        "lhs": _operator_poly_text(adjugate.cp),
-        **reduced_to_json(adjugate),
+        "lhs": _operator_poly_text(reduced.cp),
+        **reduced_to_json(reduced),
         "route_agreement": agreement,
     }
     _emit(payload, _reduce_text, args)
@@ -384,21 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", required=True, help="path to the system spec file (JSON)")
         p.add_argument("--out", default="-", help="output path, or - for stdout")
         p.add_argument("--format", choices=("json", "text"), default="text")
+        if needs_spec:
+            p.add_argument("--nmax", type=int, default=BRUTE_FORCE_CAP, help="brute-force dimension cap")
 
     p_reduce = sub.add_parser("reduce", help="emit the totally reduced system (both routes)")
     add_common(p_reduce)
-    p_reduce.add_argument("--nmax", type=int, default=BRUTE_FORCE_CAP, help="brute-force dimension cap")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_solve = sub.add_parser("solve", help="iterate a shift-kind system and verify the reduction")
     add_common(p_solve)
-    p_solve.add_argument("--nmax", type=int, default=BRUTE_FORCE_CAP, help="brute-force dimension cap")
     p_solve.add_argument("--horizon", type=int, default=None, help="trajectory length override")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cramer = sub.add_parser("cramer", help="solve B x + phi = 0 for a zero-operator spec")
     add_common(p_cramer)
-    p_cramer.add_argument("--nmax", type=int, default=BRUTE_FORCE_CAP, help="brute-force dimension cap")
     p_cramer.set_defaults(func=cmd_cramer)
 
     p_oracle = sub.add_parser("oracle", help="run randomized identity suites")
@@ -412,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a candidate solution against the reduced system")
     add_common(p_verify)
-    p_verify.add_argument("--nmax", type=int, default=BRUTE_FORCE_CAP, help="brute-force dimension cap")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

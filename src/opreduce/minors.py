@@ -17,33 +17,21 @@ of `faddeev`; that helper is checked on its own (`det` against
 `det_cofactor`, and its own tests), so the enumeration stays an
 independent check of the recurrence.
 
+``delta_k_i_coeffs(m, k, i)`` is the linear functional that the minor
+route of `reduction` uses, signed by (-1)^(k-1), as row i of the adjugate
+coefficient B_{k-1}.
+
 Subsets are enumerated in lexicographic order; exact arithmetic makes the
 summation order irrelevant, fixing it just keeps debugging deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .exactcore import Matrix, as_column, clear_denominators, column_substitute, det, det_int
-
-
-@dataclass(frozen=True)
-class MinorDescriptor:
-    """Identifies one family of enumerated minors: order k, optional anchor column."""
-
-    order: int
-    anchor: int | None = None
-    substituted: bool = False
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("minor order must be >= 1")
-        if self.anchor is not None and self.anchor < 1:
-            raise ValueError("anchor column index is 1-based")
 
 
 def _principal_minor(rows: list[list[int]], subset: Sequence[int]) -> int:

@@ -311,7 +311,7 @@ def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: Operat
     n = cp.n
     if kind is OperatorKind.SHIFT and isinstance(x, FiniteSequence) and x.horizon <= n:
         raise HorizonError(f"order-{n} equation needs horizon > {n}, got {x.horizon}")
-    residual = apply_power(kind, x, n)
-    for k in range(1, n + 1):
-        residual = residual + cp.coefficient(k) * apply_power(kind, x, n - k)
-    return residual - psi
+    powers = [x]
+    for _ in range(n):
+        powers.append(apply(kind, powers[-1]))
+    return lincomb((1, *cp.d), powers[::-1]) - psi

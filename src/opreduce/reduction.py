@@ -1,21 +1,25 @@
 """Total reduction of a first-order operator system to decoupled scalar equations.
 
-Given A(x) = B x + phi, both routes produce the same system of n decoupled
-n-th order scalar equations sharing the characteristic polynomial of B as
-left-hand side:
+Given A(x) = B x + phi, every variable satisfies the n-th order scalar
+equation p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, where p is the
+characteristic polynomial of B and B_0..B_{n-1} are the coefficients of
+adj(lambda*I - B).  One skeleton builds the symbolic terms and evaluates
+them over the operator powers of phi; the two routes differ only in how
+they obtain p and the rows of B_{k-1}:
 
-* the adjugate route accumulates B_{k-1} acting on the (n-k)-th operator
-  power of phi (polynomial cost, the production path);
-* the minor route evaluates, for each variable i and order k, the sum of
-  order-k principal minors anchored at column i with the operator column
-  substituted there, expanded along column i so operator elements only ever
-  enter through exact scalar cofactors.
+* the adjugate route takes both from the trace recurrence (polynomial
+  cost, the production path);
+* the minor route takes row i of B_{k-1} as (-1)^(k-1) times the linear
+  functional of the order-k principal-minor sum anchored at column i, with
+  the free column substituted there and expanded along column i, and p from
+  principal-minor sums.
 
-The two right-hand sides must agree exactly, term by term and element by
-element; the package treats any disagreement as a bug, never as noise.
-Taking the zero operator collapses the machinery to Cramer's rule, which is
-exposed directly as `cramer_solve` and cross-checkable through the pipeline
-via `cramer_via_zero_reduction`.
+The scalars come from two independent computations, so the two reductions
+must be equal, term by term and element by element; `ReducedSystem`
+equality is that check, and the package treats any disagreement as a bug,
+never as noise.  Taking the zero operator collapses the machinery to
+Cramer's rule, which is exposed directly as `cramer_solve` and
+cross-checkable through the pipeline via `cramer_via_zero_reduction`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 
 from .exactcore import Matrix, as_column, column_substitute, det, mat_vec
 from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, char_poly_minors
-from .minors import MinorDescriptor, delta_k, delta_k_i_coeffs, delta_vec
+from .minors import delta_k, delta_k_i_coeffs, delta_vec
 from .operators import (
     ElementColumn,
     HorizonError,
@@ -54,18 +58,21 @@ class RhsTerm:
     order: int
     sign: int
     power: int
-    descriptor: MinorDescriptor
     coeffs: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Characteristic polynomial plus per-variable right-hand sides."""
+    """Characteristic polynomial plus per-variable right-hand sides.
+
+    Two reductions compare equal exactly when they agree on the polynomial,
+    on every symbolic term and on every evaluated element, which is the
+    route-agreement predicate.
+    """
 
     cp: CharPoly
     rhs_symbolic: tuple[tuple[RhsTerm, ...], ...]
     rhs_evaluated: ElementColumn
-    provenance: str
 
 
 def _check_system(b: Matrix, phi: ElementColumn) -> int:
@@ -79,50 +86,6 @@ def _check_system(b: Matrix, phi: ElementColumn) -> int:
     return n
 
 
-def _rhs_terms_minors(b: Matrix) -> tuple[tuple[RhsTerm, ...], ...]:
-    n = b.n
-    per_variable = []
-    for i in range(1, n + 1):
-        terms = []
-        for k in range(1, n + 1):
-            terms.append(
-                RhsTerm(
-                    variable=i,
-                    order=k,
-                    sign=(-1) ** (k - 1),
-                    power=n - k,
-                    descriptor=MinorDescriptor(order=k, anchor=i, substituted=True),
-                    coeffs=delta_k_i_coeffs(b, k, i),
-                )
-            )
-        per_variable.append(tuple(terms))
-    return tuple(per_variable)
-
-
-def _rhs_terms_adjugate(b: Matrix, coeff_matrices: Sequence[Matrix]) -> tuple[tuple[RhsTerm, ...], ...]:
-    # Row i of B_{k-1} equals (-1)^(k-1) times the order-k anchored minor
-    # functional, so the adjugate route carries the same symbolic terms.
-    n = b.n
-    per_variable = []
-    for i in range(1, n + 1):
-        terms = []
-        for k in range(1, n + 1):
-            sign = (-1) ** (k - 1)
-            row = coeff_matrices[k - 1].row(i)
-            terms.append(
-                RhsTerm(
-                    variable=i,
-                    order=k,
-                    sign=sign,
-                    power=n - k,
-                    descriptor=MinorDescriptor(order=k, anchor=i, substituted=True),
-                    coeffs=tuple(sign * entry for entry in row),
-                )
-            )
-        per_variable.append(tuple(terms))
-    return tuple(per_variable)
-
-
 def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[ElementColumn]:
     """A^j phi for j = 0..n-1, each one application from the one before."""
     powers = [phi]
@@ -131,46 +94,48 @@ def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[Ele
     return powers
 
 
+def _reduce(
+    cp: CharPoly, rows: Sequence[Sequence[Sequence]], phi: ElementColumn, kind: OperatorKind
+) -> ReducedSystem:
+    """p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, given the rows.
+
+    ``rows[k-1][i-1]`` is row i of B_{k-1}, which equals (-1)^(k-1) times
+    the order-k anchored minor functional; each term records that unsigned
+    functional together with its sign.
+    """
+    n = cp.n
+    powers = _operator_powers(kind, phi, n)
+    symbolic, evaluated = [], []
+    for i in range(1, n + 1):
+        terms, acc = [], None
+        for k in range(1, n + 1):
+            sign = (-1) ** (k - 1)
+            row = rows[k - 1][i - 1]
+            terms.append(
+                RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=tuple(sign * c for c in row))
+            )
+            part = lincomb(row, powers[n - k].entries)
+            acc = part if acc is None else acc + part
+        symbolic.append(tuple(terms))
+        evaluated.append(acc)
+    return ReducedSystem(cp=cp, rhs_symbolic=tuple(symbolic), rhs_evaluated=ElementColumn(evaluated))
+
+
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
     n = _check_system(b, phi)
-    powers = _operator_powers(kind, phi, n)
-    terms = _rhs_terms_minors(b)
-    evaluated = []
-    for i in range(1, n + 1):
-        parts = [
-            lincomb([t.sign * c for c in t.coeffs], powers[t.power].entries)
-            for t in terms[i - 1]
-        ]
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = acc + p
-        evaluated.append(acc)
-    return ReducedSystem(
-        cp=char_poly_minors(b),
-        rhs_symbolic=terms,
-        rhs_evaluated=ElementColumn(evaluated),
-        provenance="minors",
-    )
+    rows = [
+        [tuple((-1) ** (k - 1) * c for c in delta_k_i_coeffs(b, k, i)) for i in range(1, n + 1)]
+        for k in range(1, n + 1)
+    ]
+    return _reduce(char_poly_minors(b), rows, phi, kind)
 
 
 def total_reduce_adjugate(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via the adjugate coefficient matrices (production route)."""
-    n = _check_system(b, phi)
+    _check_system(b, phi)
     ac = adjugate_coeffs(b)
-    powers = _operator_powers(kind, phi, n)
-    psi = None
-    for k in range(1, n + 1):
-        term = ElementColumn(
-            lincomb(row, powers[n - k].entries) for row in ac.coeffs[k - 1].rows()
-        )
-        psi = term if psi is None else psi + term
-    return ReducedSystem(
-        cp=ac.cp,
-        rhs_symbolic=_rhs_terms_adjugate(b, ac.coeffs),
-        rhs_evaluated=psi,
-        provenance="adjugate",
-    )
+    return _reduce(ac.cp, [m.rows() for m in ac.coeffs], phi, kind)
 
 
 def cramer_solve(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:

@@ -62,12 +62,13 @@ class TestDerivedInitialConditions:
         b = random_matrix(rng, 3)
         x0 = random_column(rng, 3)
         phi = zero_phi(3, 5)
+        derived = derived_initial_conditions(b, phi, x0)
         for i in range(1, 4):
-            assert derived_initial_conditions(b, phi, x0, i, 1) == mat_vec(b, x0)[i - 1]
+            assert derived[i - 1][0] == mat_vec(b, x0)[i - 1]
 
     def test_fixture_value(self):
         b = Matrix([[1, 2], [3, 4]])
-        assert derived_initial_conditions(b, zero_phi(2, 4), (1, 0), 1, 1) == 1
+        assert derived_initial_conditions(b, zero_phi(2, 4), (1, 0))[0][0] == 1
 
     def test_matches_direct_iteration(self, rng):
         for n in (2, 3, 4, 5):
@@ -76,21 +77,18 @@ class TestDerivedInitialConditions:
                 x0 = random_column(rng, n)
                 phi = random_sequence_column(rng, n, horizon=n + 4)
                 traj = iterate_difference(b, phi, x0, n + 2)
+                derived = derived_initial_conditions(b, phi, x0)
+                assert len(derived) == n
                 for i in range(1, n + 1):
+                    assert len(derived[i - 1]) == n - 1
                     for j in range(1, n):
-                        derived = derived_initial_conditions(b, phi, x0, i, j)
-                        assert derived == traj[i - 1].value_at(j)
+                        assert derived[i - 1][j - 1] == traj[i - 1].value_at(j)
 
     def test_range_validation(self, rng):
         b = random_matrix(rng, 3)
-        phi = zero_phi(3, 5)
         x0 = random_column(rng, 3)
-        with pytest.raises(IndexError):
-            derived_initial_conditions(b, phi, x0, 0, 1)
-        with pytest.raises(IndexError):
-            derived_initial_conditions(b, phi, x0, 1, 3)
         with pytest.raises(HorizonError):
-            derived_initial_conditions(b, ElementColumn([FiniteSequence(0, [1])] * 3), x0, 1, 1)
+            derived_initial_conditions(b, ElementColumn([FiniteSequence(0, [1])] * 3), x0)
 
 
 class TestManufactureSolution:

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_column, random_matrix, random_sequence_column
 from opreduce import (
     Matrix,
-    MinorDescriptor,
     OperatorKind,
     column_of,
     delta_k,
@@ -212,12 +211,3 @@ class TestIntegerEnumeration:
             for k in range(1, n + 1):
                 delta_vec(b, k, v)
             assert calls == []
-
-
-def test_minor_descriptor_validation():
-    d = MinorDescriptor(order=2, anchor=1, substituted=True)
-    assert d.order == 2
-    with pytest.raises(ValueError):
-        MinorDescriptor(order=0)
-    with pytest.raises(ValueError):
-        MinorDescriptor(order=1, anchor=0)

@@ -108,21 +108,39 @@ class TestThreeByThreeFixture:
         reduced = total_reduce_minors(b, phi, DERIV)
         assert reduced.rhs_evaluated[0] == Polynomial([-21, Fraction(7, 2), 5])
 
-    def test_pointwise_scalar_enumeration_oracle(self):
-        # evaluating the polynomial right-hand side at rational points must match
-        # the scalar brute-force minor sums of the pointwise-evaluated column
-        b, phi = self.frozen_fixture()
-        n = b.n
-        reduced = total_reduce_adjugate(b, phi, DERIV)
-        points = [Fraction(p) for p in (-3, -1, 0, 1, 2)] + [Fraction(1, 2)]
-        for i in range(1, n + 1):
-            for point in points:
-                expected = Fraction(0)
-                for k in range(1, n + 1):
-                    powered = apply_vector(DERIV, phi, n - k)
-                    column_values = tuple(p.evaluate(point) for p in powered)
-                    expected += (-1) ** (k - 1) * delta_k_i(b, k, i, column_values)
-                assert reduced.rhs_evaluated[i - 1].evaluate(point) == expected
+    def test_pointwise_scalar_enumeration_oracle(self, rng):
+        # evaluating each right-hand side at a point (a rational argument of a
+        # polynomial, a time of a sequence) must match the scalar brute-force
+        # minor sums of the pointwise-evaluated operator powers; both routes
+        # share one evaluation loop, so route agreement cannot check it
+        cases = [(*self.frozen_fixture(), DERIV)]
+        for kind in (SHIFT, DERIV):
+            for n in range(1, 6):
+                for _ in range(2):
+                    cases.append((random_matrix(rng, n), phi_column(kind, rng, n), kind))
+        rational_points = [Fraction(p) for p in (-3, -1, 0, 1, 2)] + [Fraction(1, 2)]
+
+        def value(e, point):
+            return e.value_at(point) if isinstance(e, FiniteSequence) else e.evaluate(point)
+
+        for b, phi, kind in cases:
+            n = b.n
+            powered = {k: apply_vector(kind, phi, n - k) for k in range(1, n + 1)}
+            reductions = [route(b, phi, kind) for route in (total_reduce_adjugate, total_reduce_minors)]
+            for i in range(1, n + 1):
+                psi = reductions[0].rhs_evaluated[i - 1]
+                if kind is SHIFT:
+                    assert (psi.origin, psi.horizon) == (phi[0].origin, phi[0].horizon - (n - 1))
+                    points = range(psi.origin, psi.origin + psi.horizon)
+                else:
+                    points = rational_points
+                for point in points:
+                    expected = Fraction(0)
+                    for k in range(1, n + 1):
+                        column_values = tuple(value(p, point) for p in powered[k])
+                        expected += (-1) ** (k - 1) * delta_k_i(b, k, i, column_values)
+                    for reduced in reductions:
+                        assert value(reduced.rhs_evaluated[i - 1], point) == expected
 
 
 class TestRouteEquality:
@@ -137,8 +155,7 @@ class TestRouteEquality:
                 assert lhs.cp == rhs.cp
                 assert lhs.rhs_symbolic == rhs.rhs_symbolic
                 assert lhs.rhs_evaluated == rhs.rhs_evaluated
-                assert lhs.provenance == "adjugate"
-                assert rhs.provenance == "minors"
+                assert lhs == rhs
 
     def test_term_counts_and_sign_pattern(self, rng):
         b = random_matrix(rng, 4)
@@ -150,7 +167,6 @@ class TestRouteEquality:
             assert [t.order for t in terms] == [1, 2, 3, 4]
             assert [t.power for t in terms] == [3, 2, 1, 0]
             assert all(t.variable == i for t in terms)
-            assert all(t.descriptor.anchor == i and t.descriptor.substituted for t in terms)
 
 
 class TestOperatorPowers:
