@@ -5,134 +5,21 @@ decoupled n-th order scalar operator equations sharing det(lambda*I - B)
 as left-hand side.  Two independent routes (adjugate coefficients and
 anchored principal-minor sums) must agree exactly; concrete shift,
 derivative and zero operators let the result be verified end to end.
+
+The top level holds the names of the README library example and `det`;
+everything else is imported from its submodule.
 """
 
-from .exactcore import (
-    DimensionError,
-    Matrix,
-    Rational,
-    as_column,
-    as_rational,
-    column_of,
-    column_substitute,
-    det,
-    det_cofactor,
-    format_rational,
-    identity,
-    mat_vec,
-    parse_rational,
-    zeros,
-)
-from .minors import delta_k, delta_k_i, delta_k_i_coeffs, delta_vec
-from .faddeev import (
-    AdjugateCoeffs,
-    CharPoly,
-    adjugate_at,
-    adjugate_coeffs,
-    cayley_hamilton_check,
-    cayley_hamilton_residual,
-    char_poly,
-    char_poly_minors,
-)
-from .operators import (
-    ElementColumn,
-    FiniteSequence,
-    HeterogeneousColumnError,
-    HorizonError,
-    OperatorElement,
-    OperatorKind,
-    Polynomial,
-    apply,
-    apply_power,
-    apply_vector,
-    eval_scalar_equation,
-    lincomb,
-    mat_act,
-    zero_like,
-)
-from .reduction import (
-    ReducedSystem,
-    RhsTerm,
-    SingularMatrixError,
-    cramer_solve,
-    cramer_via_zero_reduction,
-    lemma1_check,
-    lemma2_check,
-    total_reduce_adjugate,
-    total_reduce_minors,
-)
-from .cauchy import (
-    CauchyProblem,
-    ResidualReport,
-    VerificationReport,
-    derived_initial_conditions,
-    iterate_difference,
-    manufacture_solution,
-    solve_cauchy,
-    verify_total_reduction,
-)
-from .specio import SpecError, SystemSpec, load_spec, parse_spec_dict
+from .exactcore import Matrix, det
+from .operators import ElementColumn, FiniteSequence, OperatorKind
+from .reduction import total_reduce_adjugate, total_reduce_minors
 
 __all__ = [
-    "AdjugateCoeffs",
-    "CauchyProblem",
-    "CharPoly",
-    "DimensionError",
     "ElementColumn",
     "FiniteSequence",
-    "HeterogeneousColumnError",
-    "HorizonError",
     "Matrix",
-    "OperatorElement",
     "OperatorKind",
-    "Polynomial",
-    "Rational",
-    "ReducedSystem",
-    "ResidualReport",
-    "RhsTerm",
-    "SingularMatrixError",
-    "SpecError",
-    "SystemSpec",
-    "VerificationReport",
-    "adjugate_at",
-    "adjugate_coeffs",
-    "apply",
-    "apply_power",
-    "apply_vector",
-    "as_column",
-    "as_rational",
-    "cayley_hamilton_check",
-    "cayley_hamilton_residual",
-    "char_poly",
-    "char_poly_minors",
-    "column_of",
-    "column_substitute",
-    "cramer_solve",
-    "cramer_via_zero_reduction",
-    "delta_k",
-    "delta_k_i",
-    "delta_k_i_coeffs",
-    "delta_vec",
-    "derived_initial_conditions",
     "det",
-    "det_cofactor",
-    "eval_scalar_equation",
-    "format_rational",
-    "identity",
-    "iterate_difference",
-    "lemma1_check",
-    "lemma2_check",
-    "lincomb",
-    "load_spec",
-    "manufacture_solution",
-    "mat_act",
-    "mat_vec",
-    "parse_rational",
-    "parse_spec_dict",
-    "solve_cauchy",
     "total_reduce_adjugate",
     "total_reduce_minors",
-    "verify_total_reduction",
-    "zero_like",
-    "zeros",
 ]

@@ -17,14 +17,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .cauchy import CauchyProblem, solve_cauchy, verify_total_reduction
-from .exactcore import (
-    DimensionError,
-    Matrix,
-    format_rational,
-    mat_vec,
-)
+from .exactcore import Matrix, format_rational, mat_vec
 from .faddeev import adjugate_coeffs, cayley_hamilton_check, char_poly_minors
-from .operators import HeterogeneousColumnError, HorizonError, OperatorKind
+from .operators import OperatorKind
 from .reduction import (
     SingularMatrixError,
     cramer_solve,
@@ -420,7 +415,7 @@ def main(argv=None) -> int:
     except SingularMatrixError:
         print("error: det(B) = 0, system matrix is singular", file=sys.stderr)
         return EXIT_SINGULAR
-    except (HorizonError, HeterogeneousColumnError, DimensionError, IndexError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -7,8 +7,10 @@ Cramer's rule).
 
 Sequences are finite tables, not closed-form generators: a shift consumes one
 step of horizon instead of inventing data, so callers must provision enough
-horizon for the verification window they want.  Adding two sequences with the
-same origin truncates to the largest window where both are defined.
+horizon for the verification window they want.  Every combination of
+elements goes through `lincomb`: sequences with the same origin combine on
+the largest window where all are defined, polynomials on the longest
+coefficient list.
 """
 
 from __future__ import annotations
@@ -41,7 +43,31 @@ class OperatorKind(enum.Enum):
         raise ValueError(f"unknown operator kind {name!r}")
 
 
-class Polynomial:
+class _Element:
+    """Element arithmetic, all of it through `lincomb`."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return lincomb((1, 1), (self, other))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return lincomb((1, -1), (self, other))
+
+    def __neg__(self):
+        return lincomb((-1,), (self,))
+
+    def __rmul__(self, scalar):
+        return lincomb((scalar,), (self,))
+
+    __mul__ = __rmul__
+
+
+class Polynomial(_Element):
     """Rational-coefficient polynomial, ascending degree, trailing zeros stripped."""
 
     __slots__ = ("coeffs",)
@@ -69,31 +95,6 @@ class Polynomial:
             acc = acc * point + c
         return acc
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for k, c in enumerate(b):
-            summed[k] += c
-        return Polynomial(summed)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __neg__(self) -> "Polynomial":
-        return (-1) * self
-
-    def __rmul__(self, scalar) -> "Polynomial":
-        q = as_rational(scalar)
-        return Polynomial(q * c for c in self.coeffs)
-
-    __mul__ = __rmul__
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -104,7 +105,7 @@ class Polynomial:
         return f"Polynomial([{', '.join(format_rational(c) for c in self.coeffs)}])"
 
 
-class FiniteSequence:
+class FiniteSequence(_Element):
     """Finite window of a rational sequence: values e(t0), ..., e(t0 + H - 1)."""
 
     __slots__ = ("origin", "values")
@@ -134,28 +135,6 @@ class FiniteSequence:
         if self.horizon < 2:
             raise HorizonError("cannot shift a horizon-1 sequence")
         return FiniteSequence(self.origin, self.values[1:])
-
-    def __add__(self, other: "FiniteSequence") -> "FiniteSequence":
-        if not isinstance(other, FiniteSequence):
-            return NotImplemented
-        if self.origin != other.origin:
-            raise HeterogeneousColumnError("cannot add sequences with different origins")
-        h = min(self.horizon, other.horizon)
-        return FiniteSequence(self.origin, tuple(a + b for a, b in zip(self.values[:h], other.values[:h])))
-
-    def __sub__(self, other: "FiniteSequence") -> "FiniteSequence":
-        if not isinstance(other, FiniteSequence):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __neg__(self) -> "FiniteSequence":
-        return (-1) * self
-
-    def __rmul__(self, scalar) -> "FiniteSequence":
-        q = as_rational(scalar)
-        return FiniteSequence(self.origin, tuple(q * v for v in self.values))
-
-    __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
         return (
@@ -240,19 +219,10 @@ class ElementColumn:
         return f"ElementColumn({list(self.entries)!r})"
 
 
-def zero_like(e: OperatorElement) -> OperatorElement:
-    """Zero element of the same variant (and window, for sequences)."""
-    if isinstance(e, FiniteSequence):
-        return FiniteSequence(e.origin, (Fraction(0),) * e.horizon)
-    if isinstance(e, Polynomial):
-        return Polynomial()
-    raise TypeError(f"not an operator element: {e!r}")
-
-
 def apply(kind: OperatorKind, e: OperatorElement) -> OperatorElement:
     """One application of the operator to an element."""
     if kind is OperatorKind.ZERO:
-        return zero_like(e)
+        return 0 * e
     if kind is OperatorKind.SHIFT:
         if not isinstance(e, FiniteSequence):
             raise TypeError("shift operator acts on sequences")
@@ -281,16 +251,38 @@ def apply_vector(kind: OperatorKind, col: ElementColumn, j: int = 1) -> ElementC
 
 
 def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorElement:
-    """Exact rational linear combination of elements of one variant."""
+    """Exact rational linear combination of elements of one variant.
+
+    Builds one element: sequences (one origin) are summed value by value on
+    the shortest window, polynomials coefficient by coefficient up to the
+    longest coefficient list.
+    """
     if len(scalars) != len(elements):
         raise ValueError("lincomb needs matching lengths")
     if not elements:
         raise ValueError("lincomb needs at least one element")
     coeffs = as_column(scalars)
-    acc = coeffs[0] * elements[0]
-    for q, e in zip(coeffs[1:], elements[1:]):
-        acc = acc + q * e
-    return acc
+    first = elements[0]
+    if not isinstance(first, (Polynomial, FiniteSequence)) or any(
+        not isinstance(e, type(first)) for e in elements
+    ):
+        raise TypeError("lincomb needs elements of one variant")
+    if isinstance(first, FiniteSequence):
+        if any(e.origin != first.origin for e in elements):
+            raise HeterogeneousColumnError("cannot combine sequences with different origins")
+        rows = [e.values for e in elements]
+        width = min(len(row) for row in rows)
+    else:
+        rows = [e.coeffs for e in elements]
+        width = max(len(row) for row in rows)
+    sums = [0] * width
+    for q, row in zip(coeffs, rows):
+        if q:
+            for k, c in enumerate(row[:width]):
+                sums[k] += q * c
+    if isinstance(first, FiniteSequence):
+        return FiniteSequence(first.origin, sums)
+    return Polynomial(sums)
 
 
 def mat_act(m: Matrix, col: ElementColumn) -> ElementColumn:
@@ -314,4 +306,4 @@ def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: Operat
     powers = [x]
     for _ in range(n):
         powers.append(apply(kind, powers[-1]))
-    return lincomb((1, *cp.d), powers[::-1]) - psi
+    return lincomb((1, *cp.d, -1), (*powers[::-1], psi))

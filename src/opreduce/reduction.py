@@ -107,17 +107,17 @@ def _reduce(
     powers = _operator_powers(kind, phi, n)
     symbolic, evaluated = [], []
     for i in range(1, n + 1):
-        terms, acc = [], None
+        terms, scalars, elements = [], [], []
         for k in range(1, n + 1):
             sign = (-1) ** (k - 1)
             row = rows[k - 1][i - 1]
             terms.append(
                 RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=tuple(sign * c for c in row))
             )
-            part = lincomb(row, powers[n - k].entries)
-            acc = part if acc is None else acc + part
+            scalars.extend(row)
+            elements.extend(powers[n - k].entries)
         symbolic.append(tuple(terms))
-        evaluated.append(acc)
+        evaluated.append(lincomb(scalars, elements))
     return ReducedSystem(cp=cp, rhs_symbolic=tuple(symbolic), rhs_evaluated=ElementColumn(evaluated))
 
 
@@ -157,13 +157,11 @@ def cramer_via_zero_reduction(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
     equation degenerates to d_n * x_i = psi_i with psi_i the anchored full
     determinant of the substituted matrix; this is Cramer's rule in disguise.
     """
-    n = b.n
-    col = as_column(phi)
-    dn = (-1) ** n * delta_k(b, n)
+    column = ElementColumn(Polynomial([c]) for c in as_column(phi))
+    reduced = total_reduce_minors(b, column, OperatorKind.ZERO)
+    dn = reduced.cp.coefficient(b.n)
     if dn == 0:
         raise SingularMatrixError("system matrix is singular (determinant zero)")
-    column = ElementColumn(Polynomial([c]) for c in col)
-    reduced = total_reduce_minors(b, column, OperatorKind.ZERO)
     solution = []
     for element in reduced.rhs_evaluated:
         constant = element.coeffs[0] if element.coeffs else Fraction(0)

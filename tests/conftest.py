@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opreduce import ElementColumn, FiniteSequence, Matrix, Polynomial, det
+from opreduce.exactcore import Matrix, det
+from opreduce.operators import ElementColumn, FiniteSequence, Polynomial
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -46,6 +48,15 @@ def random_polynomial_column(
         Polynomial(tuple(random_rational(rng, bound) for _ in range(rng.randint(1, max_degree + 1))))
         for _ in range(n)
     )
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` at every attribute of every loaded opreduce module holding it."""
+    for name, module in list(sys.modules.items()):
+        if name == "opreduce" or name.startswith("opreduce."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture

@@ -18,25 +18,23 @@ from conftest import (
     random_rational,
     random_sequence_column,
 )
-from opreduce import (
-    Matrix,
-    OperatorKind,
-    adjugate_coeffs,
-    cayley_hamilton_check,
-    char_poly,
-    cramer_via_zero_reduction,
-    cramer_solve,
-    delta_k,
-    delta_vec,
+from opreduce.cauchy import (
     derived_initial_conditions,
     iterate_difference,
     manufacture_solution,
-    mat_vec,
-    total_reduce_adjugate,
-    total_reduce_minors,
     verify_total_reduction,
 )
 from opreduce.cli import main
+from opreduce.exactcore import Matrix, mat_vec
+from opreduce.faddeev import adjugate_coeffs, cayley_hamilton_check, char_poly
+from opreduce.minors import delta_k, delta_vec
+from opreduce.operators import OperatorKind
+from opreduce.reduction import (
+    cramer_via_zero_reduction,
+    cramer_solve,
+    total_reduce_adjugate,
+    total_reduce_minors,
+)
 
 SHIFT = OperatorKind.SHIFT
 DERIV = OperatorKind.DERIVATIVE

@@ -3,23 +3,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_column, random_matrix, random_sequence_column
-from opreduce import (
+from opreduce.cauchy import (
     CauchyProblem,
+    derived_initial_conditions,
+    iterate_difference,
+    manufacture_solution,
+    solve_cauchy,
+    verify_total_reduction,
+)
+from opreduce.exactcore import Matrix, identity, mat_vec, zeros
+from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
     HorizonError,
-    Matrix,
     OperatorKind,
     Polynomial,
     apply_vector,
-    derived_initial_conditions,
-    identity,
-    iterate_difference,
-    manufacture_solution,
-    mat_vec,
-    solve_cauchy,
-    verify_total_reduction,
-    zeros,
 )
 
 SHIFT = OperatorKind.SHIFT

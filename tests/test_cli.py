@@ -9,16 +9,12 @@ from unittest import mock
 
 import pytest
 
-from conftest import DATA_DIR
-from opreduce import (
-    ElementColumn,
-    FiniteSequence,
-    Matrix,
-    OperatorKind,
-    format_rational,
-    manufacture_solution,
-)
+from conftest import DATA_DIR, patch_everywhere
+from opreduce import cli, exactcore
+from opreduce.cauchy import manufacture_solution
 from opreduce.cli import main
+from opreduce.exactcore import Matrix, format_rational
+from opreduce.operators import ElementColumn, FiniteSequence, OperatorKind
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -324,6 +320,21 @@ class TestCramer:
         assert rc == 2
         assert "zero" in err
 
+    def test_determinants_per_command(self, capsys, monkeypatch):
+        # det(B) in cramer_solve and in the minor route's char_poly_minors,
+        # plus the three substituted matrices; d_n comes from the minor route
+        calls = []
+        original = exactcore.det
+
+        def counting_det(m):
+            calls.append(m)
+            return original(m)
+
+        patch_everywhere(monkeypatch, original, counting_det)
+        rc, _, _ = run_cli(capsys, ["cramer", "--spec", str(DATA_DIR / "zero_3x3.json")])
+        assert rc == 0
+        assert len(calls) == 5
+
     def test_nonconstant_phi_rejected(self, capsys, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -501,6 +512,16 @@ class TestSpecParsing:
         rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
         assert rc == 2
         assert "phi" in err
+
+
+def test_internal_index_error_is_not_an_input_error(monkeypatch):
+    # an IndexError can only come from a bug, so main lets it escape
+    def broken(*args):
+        raise IndexError("internal indexing bug")
+
+    monkeypatch.setattr(cli, "total_reduce_adjugate", broken)
+    with pytest.raises(IndexError, match="internal indexing bug"):
+        main(["reduce", "--spec", str(DATA_DIR / "shift_2x2.json")])
 
 
 def test_module_invocation_subprocess(tmp_path):

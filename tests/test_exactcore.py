@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_column, random_matrix
-from opreduce import (
+from opreduce.exactcore import (
     DimensionError,
     Matrix,
     as_rational,

@@ -5,21 +5,18 @@ import pytest
 
 from conftest import DATA_DIR, random_column, random_matrix, random_rational
 from opreduce import faddeev
-from opreduce import (
+from opreduce.cli import main
+from opreduce.exactcore import Matrix, identity, mat_vec, zeros
+from opreduce.faddeev import (
     CharPoly,
-    Matrix,
     adjugate_at,
     adjugate_coeffs,
     cayley_hamilton_check,
     cayley_hamilton_residual,
     char_poly,
     char_poly_minors,
-    delta_vec,
-    identity,
-    mat_vec,
-    zeros,
 )
-from opreduce.cli import main
+from opreduce.minors import delta_vec
 
 
 class TestCharPoly:

@@ -1,25 +1,15 @@
-import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from conftest import random_column, random_matrix, random_sequence_column
-from opreduce import (
-    Matrix,
-    OperatorKind,
-    column_of,
-    delta_k,
-    delta_k_i,
-    delta_k_i_coeffs,
-    delta_vec,
-    det_cofactor,
-    identity,
-    mat_vec,
-    total_reduce_minors,
-)
+from conftest import patch_everywhere, random_column, random_matrix, random_sequence_column
 from opreduce import exactcore
+from opreduce.exactcore import Matrix, column_of, det_cofactor, identity, mat_vec
+from opreduce.minors import delta_k, delta_k_i, delta_k_i_coeffs, delta_vec
+from opreduce.operators import OperatorKind
+from opreduce.reduction import total_reduce_minors
 
 
 def anchored_minor_sum(m, k, i):
@@ -196,11 +186,7 @@ class TestIntegerEnumeration:
             calls.append(m)
             return original(m)
 
-        for name, module in list(sys.modules.items()):
-            if name == "opreduce" or name.startswith("opreduce."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting_det)
+        patch_everywhere(monkeypatch, original, counting_det)
         assert exactcore.det is counting_det
         for n in (1, 3, 5):
             b = random_matrix(rng, n)

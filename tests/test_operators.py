@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix, random_sequence_column
-from opreduce import (
-    CharPoly,
+from conftest import (
+    patch_everywhere,
+    random_matrix,
+    random_polynomial_column,
+    random_sequence_column,
+)
+from opreduce.exactcore import identity
+from opreduce.faddeev import CharPoly
+from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
     HeterogeneousColumnError,
@@ -17,11 +23,10 @@ from opreduce import (
     apply_power,
     apply_vector,
     eval_scalar_equation,
-    identity,
     lincomb,
     mat_act,
-    zero_like,
 )
+from opreduce.reduction import total_reduce_adjugate
 
 SHIFT = OperatorKind.SHIFT
 DERIV = OperatorKind.DERIVATIVE
@@ -172,6 +177,14 @@ class TestColumns:
             lincomb([1, 2], [Polynomial([1])])
         with pytest.raises(ValueError):
             lincomb([], [])
+        with pytest.raises(HeterogeneousColumnError):
+            lincomb([1, 1], [FiniteSequence(0, [1, 2]), FiniteSequence(1, [1, 2])])
+        with pytest.raises(TypeError):
+            lincomb([1, 1], [Polynomial([1]), FiniteSequence(0, [1])])
+        with pytest.raises(TypeError):
+            lincomb([1, 1], [FiniteSequence(0, [1]), Polynomial([1])])
+        with pytest.raises(TypeError):
+            Polynomial([1]) + FiniteSequence(0, [1])
 
 
 class TestScalarEquation:
@@ -212,9 +225,90 @@ class TestScalarEquation:
             eval_scalar_equation(cp, SHIFT, FiniteSequence(0, [1, 2]), FiniteSequence(0, [0]))
 
 
-def test_zero_like_preserves_window():
-    assert zero_like(FiniteSequence(5, [1, 2])) == FiniteSequence(5, [0, 0])
-    assert zero_like(Polynomial([1, 2])) == Polynomial()
+def fold_polynomials(scalars, coeff_lists):
+    """sum_k scalars[k] * coeff_lists[k], one term at a time, on plain tuples."""
+    acc = ()
+    for q, coeffs in zip(scalars, coeff_lists):
+        term = tuple(q * c for c in coeffs)
+        width = max(len(acc), len(term))
+        acc = tuple(
+            (acc[k] if k < len(acc) else 0) + (term[k] if k < len(term) else 0) for k in range(width)
+        )
+    while acc and acc[-1] == 0:
+        acc = acc[:-1]
+    return acc
+
+
+def fold_sequences(scalars, value_lists):
+    """The same fold for sequence windows: each sum keeps the shorter window."""
+    acc = None
+    for q, values in zip(scalars, value_lists):
+        term = tuple(q * v for v in values)
+        acc = term if acc is None else tuple(a + t for a, t in zip(acc, term))
+    return acc
+
+
+scalars_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+values_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+class TestLincomb:
+    @given(
+        terms=st.lists(st.tuples(scalars_st, st.lists(values_st, max_size=6)), min_size=1, max_size=5),
+        lower=st.lists(values_st, max_size=5),
+        cancel=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_polynomials_match_a_term_by_term_fold(self, terms, lower, cancel):
+        scalars = [q for q, _ in terms]
+        coeff_lists = [list(cs) for _, cs in terms]
+        width = max(len(cs) for cs in coeff_lists)
+        if cancel and width:
+            # one more term whose leading coefficient cancels the sum's
+            top = sum(q * cs[-1] for q, cs in zip(scalars, coeff_lists) if len(cs) == width)
+            scalars.append(Fraction(1))
+            coeff_lists.append((lower + [0] * width)[: width - 1] + [-top])
+        combined = lincomb(scalars, [Polynomial(cs) for cs in coeff_lists])
+        expected = fold_polynomials(scalars, coeff_lists)
+        assert combined == Polynomial(expected)
+        assert combined.coeffs == expected
+        if cancel and width:
+            assert combined.degree() < width - 1
+
+    @given(
+        terms=st.lists(
+            st.tuples(scalars_st, st.lists(values_st, min_size=1, max_size=6)), min_size=1, max_size=5
+        ),
+        origin=st.integers(-3, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sequences_match_a_term_by_term_fold(self, terms, origin):
+        scalars = [q for q, _ in terms]
+        value_lists = [values for _, values in terms]
+        combined = lincomb(scalars, [FiniteSequence(origin, values) for values in value_lists])
+        assert combined.origin == origin
+        assert combined.values == fold_sequences(scalars, value_lists)
+        assert combined.horizon == min(len(values) for values in value_lists)
+
+    @pytest.mark.parametrize("kind", [SHIFT, DERIV])
+    def test_adjugate_route_combines_once_per_variable(self, kind, rng, monkeypatch):
+        # each right-hand side is one combination of all n^2 (scalar, power entry) pairs
+        calls = []
+        original = lincomb
+
+        def counting_lincomb(scalars, elements):
+            calls.append(len(elements))
+            return original(scalars, elements)
+
+        patch_everywhere(monkeypatch, original, counting_lincomb)
+        for n in (1, 2, 4):
+            if kind is SHIFT:
+                phi = random_sequence_column(rng, n, horizon=n + 3)
+            else:
+                phi = random_polynomial_column(rng, n, max_degree=4)
+            calls.clear()
+            total_reduce_adjugate(random_matrix(rng, n), phi, kind)
+            assert calls == [n * n] * n
 
 
 def test_matrix_power_action_on_columns(rng):

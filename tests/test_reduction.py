@@ -11,30 +11,28 @@ from conftest import (
     random_rational,
     random_sequence_column,
 )
-from opreduce import (
+from opreduce import reduction
+from opreduce.cauchy import manufacture_solution, verify_total_reduction
+from opreduce.exactcore import Matrix, identity, mat_vec, parse_rational
+from opreduce.faddeev import adjugate_coeffs
+from opreduce.minors import delta_k_i
+from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
     HorizonError,
-    Matrix,
     OperatorKind,
     Polynomial,
-    SingularMatrixError,
-    adjugate_coeffs,
     apply_vector,
+)
+from opreduce.reduction import (
+    SingularMatrixError,
     cramer_solve,
     cramer_via_zero_reduction,
-    delta_k_i,
-    identity,
     lemma1_check,
     lemma2_check,
-    manufacture_solution,
-    mat_vec,
-    parse_rational,
     total_reduce_adjugate,
     total_reduce_minors,
-    verify_total_reduction,
 )
-from opreduce import reduction
 
 SHIFT = OperatorKind.SHIFT
 DERIV = OperatorKind.DERIVATIVE
@@ -264,7 +262,7 @@ class TestLemmaChecks:
             assert all(lemma2_check(b, ac, k, v) for k in range(0, n))
 
     def test_identity_case_both_sides(self):
-        from opreduce import delta_k, delta_vec
+        from opreduce.minors import delta_k, delta_vec
 
         b = identity(2)
         v = (Fraction(1), Fraction(2))
