@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from .exactcore import Matrix, as_column, identity, mat_vec
+from .exactcore import Matrix, as_column, clear_denominators, identity, mat_vec
 from .operators import (
     ElementColumn,
     FiniteSequence,
@@ -80,7 +82,9 @@ class VerificationReport:
 def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> ElementColumn:
     """Iterate x(t+1) = B x(t) + phi(t) exactly from x(t0) = x0.
 
-    Returns the n trajectories as sequences over t0 .. t0 + steps.
+    Returns the n trajectories as sequences over t0 .. t0 + steps.  With
+    B = M/D, phi(t) = P/Q and the state x(t) = X/S (X ints, S > 0), one step
+    is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').
     """
     n = b.n
     if phi.variant != "sequence":
@@ -95,14 +99,21 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     if phi.entries[0].horizon < steps:
         raise HorizonError(f"free column horizon {phi.entries[0].horizon} < steps {steps}")
     t0 = phi.entries[0].origin
-    states = [start]
-    current = start
+    den, m = clear_denominators(b.rows())
+    scale, (x,) = clear_denominators([start])
+    states = [(x, scale)]
     for step in range(steps):
-        phi_t = tuple(entry.values[step] for entry in phi.entries)
-        current = tuple(a + c for a, c in zip(mat_vec(b, current), phi_t))
-        states.append(current)
+        q, (p,) = clear_denominators([[entry.values[step] for entry in phi.entries]])
+        ds = den * scale
+        x = [q * sum(map(mul, row, x)) + ds * c for row, c in zip(m, p)]
+        scale = ds * q
+        g = gcd(scale, *x)
+        if g > 1:
+            x = [a // g for a in x]
+            scale //= g
+        states.append((x, scale))
     return ElementColumn(
-        FiniteSequence(t0, tuple(state[i] for state in states)) for i in range(n)
+        FiniteSequence(t0, tuple(Fraction(nums[i], s) for nums, s in states)) for i in range(n)
     )
 
 

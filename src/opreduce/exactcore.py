@@ -95,10 +95,6 @@ class Matrix:
             raise DimensionError(f"matrix is {self.nrows}x{self.ncols}, not square")
         return self.nrows
 
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def entry(self, i: int, j: int) -> Fraction:
         """Entry at row i, column j (1-based)."""
         if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
@@ -252,9 +248,11 @@ def det_cofactor(m: Matrix) -> Fraction:
     return expand(indices, indices)
 
 
-def clear_denominators(m: Matrix) -> tuple[int, list[list[int]]]:
-    """``(D, rows of D*m)``: D is the lcm of the entry denominators, the rows are ints."""
-    rows = m.rows()
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(D, D*rows)``: D is the lcm of all entry denominators, the rows become ints.
+
+    Rows may differ in length; D is 1 when there are no entries.
+    """
     den = lcm(*(x.denominator for row in rows for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
@@ -289,5 +287,5 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 def det(m: Matrix) -> Fraction:
     """Exact determinant: the integer kernel on D*m, scaled back once by D^n."""
     n = m.n
-    den, rows = clear_denominators(m)
+    den, rows = clear_denominators(m.rows())
     return Fraction(det_int(rows), den**n)

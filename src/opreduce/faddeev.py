@@ -83,7 +83,7 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
     exact multiple of k, so a nonzero remainder raises `RecurrenceError`.
     """
     n = b.n
-    den, m = clear_denominators(b)
+    den, m = clear_denominators(b.rows())
     m_cols = tuple(zip(*m))
     d: list[Fraction] = []
     coeffs: list[Matrix] = [identity(n)]

@@ -49,7 +49,7 @@ def delta_k(m: Matrix, k: int) -> Fraction:
         return Fraction(0)
     if k == n:
         return det(m)
-    den, rows = clear_denominators(m)
+    den, rows = clear_denominators(m.rows())
     total = sum(_principal_minor(rows, subset) for subset in combinations(range(n), k))
     return Fraction(total, den**k)
 
@@ -69,7 +69,7 @@ def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
         raise ValueError(f"substituted column has {len(col)} entries, expected {n}")
     if k > n:
         return Fraction(0)
-    den, rows = clear_denominators(column_substitute(m, i, col))
+    den, rows = clear_denominators(column_substitute(m, i, col).rows())
     anchor = i - 1
     total = sum(
         _principal_minor(rows, subset) for subset in combinations(range(n), k) if anchor in subset
@@ -98,7 +98,7 @@ def delta_k_i_coeffs(m: Matrix, k: int, i: int) -> tuple[Fraction, ...]:
     anchor = i - 1
     if k > n:
         return (Fraction(0),) * n
-    den, rows = clear_denominators(m)
+    den, rows = clear_denominators(m.rows())
     coeffs = [0] * n
     for subset in combinations(range(n), k):
         if anchor not in subset:

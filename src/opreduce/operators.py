@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exactcore import Matrix, as_column, as_rational, format_rational
+from .exactcore import Matrix, as_column, as_rational, clear_denominators, format_rational
 
 
 class HorizonError(ValueError):
@@ -255,7 +256,9 @@ def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorE
 
     Builds one element: sequences (one origin) are summed value by value on
     the shortest window, polynomials coefficient by coefficient up to the
-    longest coefficient list.
+    longest coefficient list.  The nonzero scalars are brought to one
+    denominator and all element values to another, so each output value is
+    one integer dot product, made a `Fraction` once.
     """
     if len(scalars) != len(elements):
         raise ValueError("lincomb needs matching lengths")
@@ -275,11 +278,13 @@ def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorE
     else:
         rows = [e.coeffs for e in elements]
         width = max(len(row) for row in rows)
-    sums = [0] * width
-    for q, row in zip(coeffs, rows):
-        if q:
-            for k, c in enumerate(row[:width]):
-                sums[k] += q * c
+    live = [(q, row[:width]) for q, row in zip(coeffs, rows) if q]
+    q_den, (q_ints,) = clear_denominators([[q for q, _ in live]])
+    v_den, v_ints = clear_denominators([row for _, row in live])
+    den = q_den * v_den
+    padded = (row + [0] * (width - len(row)) for row in v_ints)
+    # with no nonzero scalar there are no columns, and the result is zero on the same width
+    sums = [Fraction(sum(map(mul, q_ints, col)), den) for col in zip(*padded)] or [0] * width
     if isinstance(first, FiniteSequence):
         return FiniteSequence(first.origin, sums)
     return Polynomial(sums)

@@ -94,6 +94,11 @@ def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[Ele
     return powers
 
 
+def _signed(k: int, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(-1)^(k-1) * row, by negation, which needs no gcd."""
+    return tuple(row) if k % 2 else tuple(-c for c in row)
+
+
 def _reduce(
     cp: CharPoly, rows: Sequence[Sequence[Sequence]], phi: ElementColumn, kind: OperatorKind
 ) -> ReducedSystem:
@@ -111,9 +116,7 @@ def _reduce(
         for k in range(1, n + 1):
             sign = (-1) ** (k - 1)
             row = rows[k - 1][i - 1]
-            terms.append(
-                RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=tuple(sign * c for c in row))
-            )
+            terms.append(RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=_signed(k, row)))
             scalars.extend(row)
             elements.extend(powers[n - k].entries)
         symbolic.append(tuple(terms))
@@ -124,10 +127,7 @@ def _reduce(
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
     n = _check_system(b, phi)
-    rows = [
-        [tuple((-1) ** (k - 1) * c for c in delta_k_i_coeffs(b, k, i)) for i in range(1, n + 1)]
-        for k in range(1, n + 1)
-    ]
+    rows = [[_signed(k, delta_k_i_coeffs(b, k, i)) for i in range(1, n + 1)] for k in range(1, n + 1)]
     return _reduce(char_poly_minors(b), rows, phi, kind)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,7 +30,60 @@ def zero_phi(n, horizon, origin=0):
     return ElementColumn(FiniteSequence(origin, [0] * horizon) for _ in range(n))
 
 
+def fraction_recurrence(b, phi, x0, steps):
+    """x(t+1) = B x(t) + phi(t) on plain Fractions, one step at a time; trajectories per variable."""
+    states = [tuple(Fraction(v) for v in x0)]
+    for t in range(steps):
+        x = states[-1]
+        states.append(
+            tuple(
+                sum((a * c for a, c in zip(row, x)), Fraction(0)) + phi[i].values[t]
+                for i, row in enumerate(b.rows())
+            )
+        )
+    return [tuple(state[i] for state in states) for i in range(b.n)]
+
+
+def assert_canonical(traj):
+    for seq in traj:
+        for v in seq.values:
+            assert type(v) is Fraction
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def assert_matches_fraction_recurrence(b, phi, x0, steps):
+    traj = iterate_difference(b, phi, x0, steps)
+    assert [seq.values for seq in traj] == fraction_recurrence(b, phi, x0, steps)
+    assert all(seq.origin == phi[0].origin for seq in traj)
+    assert_canonical(traj)
+
+
 class TestIterateDifference:
+    def test_random_mixed_denominators(self, rng):
+        for n in range(1, 7):
+            for steps in (0, 1, rng.randint(2, 40), 40):
+                b = random_matrix(rng, n)
+                horizon = max(steps, 1) + rng.randint(0, 2)
+                phi = random_sequence_column(rng, n, horizon, origin=rng.randint(-3, 3))
+                assert_matches_fraction_recurrence(b, phi, random_column(rng, n), steps)
+
+    def test_zero_identity_and_zero_start(self, rng):
+        for n in (1, 3, 6):
+            phi = random_sequence_column(rng, n, horizon=12)
+            for b in (zeros(n), identity(n), random_matrix(rng, n)):
+                assert_matches_fraction_recurrence(b, phi, random_column(rng, n), 12)
+                assert_matches_fraction_recurrence(b, phi, (0,) * n, 12)
+            assert_matches_fraction_recurrence(random_matrix(rng, n), zero_phi(n, 12), (0,) * n, 12)
+
+    def test_cancelling_values_are_reduced(self):
+        # x = 1/2 is a fixed point of x -> 2x - 1/2: every step's common factor must cancel
+        b = Matrix([[2, 0], [0, 2]])
+        phi = ElementColumn(FiniteSequence(0, ["-1/2"] * 30) for _ in range(2))
+        traj = iterate_difference(b, phi, ("1/2", "1/2"), 30)
+        assert traj[0].values == traj[1].values == (Fraction(1, 2),) * 31
+        assert_canonical(traj)
+        assert_matches_fraction_recurrence(b, phi, ("1/2", 3), 30)
+
     def test_zero_matrix_zero_phi_is_constant_after_first_step(self):
         traj = iterate_difference(zeros(2), zero_phi(2, 6), (3, -1), 4)
         assert traj[0].values == (3, 0, 0, 0, 0)

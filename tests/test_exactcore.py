@@ -179,7 +179,7 @@ class TestDeterminant:
 
 class TestIntegerKernel:
     def test_clear_denominators(self):
-        den, rows = clear_denominators(Matrix([["1/2", "-2/3"], [5, "3/4"]]))
+        den, rows = clear_denominators(Matrix([["1/2", "-2/3"], [5, "3/4"]]).rows())
         assert den == 12
         assert rows == [[6, -8], [60, 9]]
         assert all(type(x) is int for row in rows for x in row)
@@ -187,7 +187,7 @@ class TestIntegerKernel:
     def test_pivot_vanishes_mid_elimination(self):
         # after the first step the active block starts with a zero pivot
         m = Matrix([[1, 2, 3, 4], [2, 4, 7, 1], [3, 7, 2, 5], [1, 3, 1, 1]])
-        _, rows = clear_denominators(m)
+        _, rows = clear_denominators(m.rows())
         assert (rows[1][1] * rows[0][0] - rows[1][0] * rows[0][1]) == 0
         assert det_int(rows) == det_cofactor(m) != 0
 
@@ -199,7 +199,7 @@ class TestIntegerKernel:
             # last row a combination of two earlier rows: rank at most n - 1
             rows[-1] = tuple(Fraction(3, 2) * a - 2 * b for a, b in zip(rows[0], rows[n - 2]))
             singular = Matrix(rows)
-            _, int_rows = clear_denominators(singular)
+            _, int_rows = clear_denominators(singular.rows())
             assert det_int(int_rows) == det_cofactor(singular) == 0
 
     def test_empty_matrix_and_input_untouched(self):

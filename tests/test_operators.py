@@ -250,6 +250,9 @@ def fold_sequences(scalars, value_lists):
 
 scalars_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 values_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+# pairwise coprime denominators, so the common denominators grow large
+large_primes = (7853, 7867, 7873, 7877, 7879, 7883, 7901, 7907, 7919)
+large_st = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(large_primes))
 
 
 class TestLincomb:
@@ -289,6 +292,35 @@ class TestLincomb:
         assert combined.origin == origin
         assert combined.values == fold_sequences(scalars, value_lists)
         assert combined.horizon == min(len(values) for values in value_lists)
+
+    @given(
+        terms=st.lists(
+            st.tuples(st.one_of(st.just(Fraction(0)), large_st), st.lists(large_st, min_size=1, max_size=6)),
+            min_size=1,
+            max_size=6,
+        ),
+        all_zero=st.booleans(),
+        origin=st.integers(-3, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_large_coprime_denominators_and_zero_scalars(self, terms, all_zero, origin):
+        scalars = [Fraction(0) if all_zero else q for q, _ in terms]
+        value_lists = [values for _, values in terms]
+        poly = lincomb(scalars, [Polynomial(values) for values in value_lists])
+        seq = lincomb(scalars, [FiniteSequence(origin, values) for values in value_lists])
+        assert poly.coeffs == fold_polynomials(scalars, value_lists)
+        assert seq.values == fold_sequences(scalars, value_lists)
+        assert seq.origin == origin
+        assert all(type(v) is Fraction for v in (*poly.coeffs, *seq.values))
+        if all_zero:
+            assert poly == Polynomial()
+            assert seq == FiniteSequence(origin, [0] * min(len(values) for values in value_lists))
+
+    def test_all_zero_scalars(self):
+        seqs = [FiniteSequence(2, ["1/7919", 5, 6]), FiniteSequence(2, [4, "3/7853"])]
+        assert lincomb([0, 0], seqs) == FiniteSequence(2, [0, 0])
+        assert lincomb([0, 0], [Polynomial([1, 2]), Polynomial([0, 0, 3])]) == Polynomial()
+        assert lincomb([0], [Polynomial()]) == Polynomial()
 
     @pytest.mark.parametrize("kind", [SHIFT, DERIV])
     def test_adjugate_route_combines_once_per_variable(self, kind, rng, monkeypatch):
