@@ -19,12 +19,13 @@ from .exactcore import Matrix, as_column, clear_denominators, identity, mat_vec
 from .operators import (
     ElementColumn,
     FiniteSequence,
+    HeterogeneousColumnError,
     HorizonError,
     OperatorKind,
     OperatorElement,
     apply_vector,
     eval_scalar_equation,
-    mat_act,
+    lincomb,
 )
 from .reduction import ReducedSystem, total_reduce_adjugate, total_reduce_minors
 
@@ -144,8 +145,13 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
 
 
 def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> ElementColumn:
-    """Free column that makes x a solution by construction: A(x) - B x."""
-    return apply_vector(kind, x, 1) - mat_act(b, x)
+    """Free column that makes x a solution by construction: A(x) - B x, one `lincomb` per row."""
+    if len(x) != b.n:
+        raise HeterogeneousColumnError(f"matrix of order {b.n} cannot act on a column of length {len(x)}")
+    return ElementColumn(
+        lincomb((1, *(-c for c in row)), (ax, *x))
+        for ax, row in zip(apply_vector(kind, x), b.rows())
+    )
 
 
 def _window(e: OperatorElement) -> tuple[int, int] | None:

@@ -152,8 +152,11 @@ def _emit(payload: dict, text_renderer, args) -> None:
     if args.out == "-":
         sys.stdout.write(body)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise SpecError(f"cannot write report to {args.out}: {exc}") from None
 
 
 @contextmanager

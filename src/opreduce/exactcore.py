@@ -4,7 +4,7 @@ Everything in the reduction pipeline is built on arbitrary-precision
 rationals; no floating point is accepted anywhere.  Scalars are
 ``fractions.Fraction`` values, which are always kept in canonical form
 (positive denominator, gcd 1, zero as 0/1).  Matrices are immutable and
-dense, with exact determinants.
+dense and square, with exact determinants.
 
 Row/column index arguments on the public surface are 1-based.
 """
@@ -15,8 +15,6 @@ import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
@@ -67,51 +65,22 @@ def as_column(values: Iterable) -> tuple[Fraction, ...]:
 
 
 class Matrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense square matrix over the rationals."""
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise DimensionError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise DimensionError("matrix rows must all have the same length")
+        if not data or any(len(row) != len(data) for row in data):
+            raise DimensionError("matrix must be n x n with n >= 1")
         self._rows = data
 
     @property
-    def nrows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self._rows[0])
-
-    @property
     def n(self) -> int:
-        """Dimension of a square matrix."""
-        if self.nrows != self.ncols:
-            raise DimensionError(f"matrix is {self.nrows}x{self.ncols}, not square")
-        return self.nrows
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """Entry at row i, column j (1-based)."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise IndexError(f"entry ({i},{j}) out of range for {self.nrows}x{self.ncols} matrix")
-        return self._rows[i - 1][j - 1]
+        return len(self._rows)
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        """Row i (1-based)."""
-        if not 1 <= i <= self.nrows:
-            raise IndexError(f"row {i} out of range")
-        return self._rows[i - 1]
-
-    def trace(self) -> Fraction:
-        return sum((self._rows[i][i] for i in range(self.n)), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self._rows == other._rows
@@ -122,37 +91,23 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix addition needs equal shapes")
+        if self.n != other.n:
+            raise DimensionError(f"cannot add {self.n}x{self.n} and {other.n}x{other.n}")
         return Matrix(
             tuple(a + b for a, b in zip(r1, r2))
             for r1, r2 in zip(self._rows, other._rows)
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (-1) * other
-
-    def __neg__(self) -> "Matrix":
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise DimensionError(
-                    f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-                )
-            cols = tuple(zip(*other._rows))
-            return Matrix(
-                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-                for row in self._rows
-            )
-        try:
-            q = as_rational(other)
-        except TypeError:
-            return NotImplemented
-        return Matrix(tuple(q * x for x in row) for row in self._rows)
+        if self.n != other.n:
+            raise DimensionError(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
+        cols = tuple(zip(*other._rows))
+        return Matrix(
+            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
+            for row in self._rows
+        )
 
     def __rmul__(self, other):
         try:
@@ -160,18 +115,6 @@ class Matrix:
         except TypeError:
             return NotImplemented
         return Matrix(tuple(q * x for x in row) for row in self._rows)
-
-    def __pow__(self, j: int) -> "Matrix":
-        if not isinstance(j, int) or j < 0:
-            raise ValueError("matrix power needs an integer exponent >= 0")
-        result = identity(self.n)
-        base = self
-        while j:
-            if j & 1:
-                result = result * base
-            base = base * base if j > 1 else base
-            j >>= 1
-        return result
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -181,32 +124,22 @@ class Matrix:
 
 
 def identity(n: int) -> Matrix:
-    if n < 1:
-        raise DimensionError("identity needs n >= 1")
     return Matrix(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
 
 
-def zeros(nrows: int, ncols: int | None = None) -> Matrix:
-    ncols = nrows if ncols is None else ncols
-    return Matrix(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
-
-
-def column_of(m: Matrix, s: int) -> tuple[Fraction, ...]:
-    """Column s of the matrix (1-based)."""
-    if not 1 <= s <= m.ncols:
-        raise IndexError(f"column {s} out of range")
-    return tuple(row[s - 1] for row in m.rows())
+def zeros(n: int) -> Matrix:
+    return Matrix(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
 
 
 def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
     """Replace column i (1-based) with the column v; all other entries unchanged."""
-    if not 1 <= i <= m.ncols:
+    if not 1 <= i <= m.n:
         raise IndexError(f"column {i} out of range")
     col = as_column(v)
-    if len(col) != m.nrows:
-        raise DimensionError(f"substituted column has {len(col)} entries, expected {m.nrows}")
+    if len(col) != m.n:
+        raise DimensionError(f"substituted column has {len(col)} entries, expected {m.n}")
     return Matrix(
         row[: i - 1] + (col[r],) + row[i:] for r, row in enumerate(m.rows())
     )
@@ -215,8 +148,8 @@ def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
 def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
     """Matrix times column vector."""
     col = as_column(v)
-    if len(col) != m.ncols:
-        raise DimensionError(f"vector of length {len(col)} does not conform to {m.nrows}x{m.ncols}")
+    if len(col) != m.n:
+        raise DimensionError(f"vector of length {len(col)} does not conform to {m.n}x{m.n}")
     return tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for row in m.rows())
 
 

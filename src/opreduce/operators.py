@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exactcore import Matrix, as_column, as_rational, clear_denominators, format_rational
+from .exactcore import as_column, as_rational, clear_denominators, format_rational
 
 
 class HorizonError(ValueError):
@@ -196,20 +196,6 @@ class ElementColumn:
     def __getitem__(self, idx: int) -> OperatorElement:
         return self.entries[idx]
 
-    def __add__(self, other: "ElementColumn") -> "ElementColumn":
-        if not isinstance(other, ElementColumn):
-            return NotImplemented
-        if len(self) != len(other):
-            raise HeterogeneousColumnError("column lengths differ")
-        return ElementColumn(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "ElementColumn") -> "ElementColumn":
-        if not isinstance(other, ElementColumn):
-            return NotImplemented
-        if len(self) != len(other):
-            raise HeterogeneousColumnError("column lengths differ")
-        return ElementColumn(a - b for a, b in zip(self.entries, other.entries))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ElementColumn) and self.entries == other.entries
 
@@ -235,20 +221,9 @@ def apply(kind: OperatorKind, e: OperatorElement) -> OperatorElement:
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def apply_power(kind: OperatorKind, e: OperatorElement, j: int) -> OperatorElement:
-    """j-fold application; j = 0 is the identity."""
-    if j < 0:
-        raise ValueError("operator power must be >= 0")
-    if kind is OperatorKind.SHIFT and isinstance(e, FiniteSequence) and e.horizon <= j:
-        raise HorizonError(f"shift power {j} needs horizon > {j}, got {e.horizon}")
-    for _ in range(j):
-        e = apply(kind, e)
-    return e
-
-
-def apply_vector(kind: OperatorKind, col: ElementColumn, j: int = 1) -> ElementColumn:
-    """Componentwise operator power on a column."""
-    return ElementColumn(apply_power(kind, e, j) for e in col)
+def apply_vector(kind: OperatorKind, col: ElementColumn) -> ElementColumn:
+    """One application of the operator to every entry of a column."""
+    return ElementColumn(apply(kind, e) for e in col)
 
 
 def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorElement:
@@ -288,15 +263,6 @@ def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorE
     if isinstance(first, FiniteSequence):
         return FiniteSequence(first.origin, sums)
     return Polynomial(sums)
-
-
-def mat_act(m: Matrix, col: ElementColumn) -> ElementColumn:
-    """Matrix acting on an element column: row-by-row linear combinations."""
-    if m.ncols != len(col):
-        raise HeterogeneousColumnError(
-            f"matrix with {m.ncols} columns cannot act on a column of length {len(col)}"
-        )
-    return ElementColumn(lincomb(row, col.entries) for row in m.rows())
 
 
 def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: OperatorElement) -> OperatorElement:

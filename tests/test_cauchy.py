@@ -16,6 +16,7 @@ from opreduce.exactcore import Matrix, identity, mat_vec, zeros
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
+    HeterogeneousColumnError,
     HorizonError,
     OperatorKind,
     Polynomial,
@@ -154,12 +155,18 @@ class TestManufactureSolution:
     def test_zero_matrix_gives_operator_image(self, rng):
         x = random_sequence_column(rng, 2, horizon=5)
         phi = manufacture_solution(zeros(2), x, SHIFT)
-        assert phi == apply_vector(SHIFT, x, 1)
+        assert phi == apply_vector(SHIFT, x)
 
     def test_polynomial_example(self):
         x = ElementColumn([Polynomial([0, 1]), Polynomial([0, 0, 1])])  # (t, t^2)
         phi = manufacture_solution(identity(2), x, DERIV)
         assert phi == ElementColumn([Polynomial([1, -1]), Polynomial([0, 2, -1])])
+
+    def test_column_longer_than_n_rejected(self, rng):
+        # without the check, pairing rows of B with A(x) would drop x_3 silently
+        x = random_sequence_column(rng, 3, horizon=5)
+        with pytest.raises(HeterogeneousColumnError):
+            manufacture_solution(identity(2), x, SHIFT)
 
 
 class TestVerifyTotalReduction:

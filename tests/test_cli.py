@@ -108,6 +108,16 @@ class TestReduce:
         assert out == ""
         assert json.loads(target.read_text())["char_poly"] == ["-5", "-2"]
 
+    def test_unwritable_out_file_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        rc, out, err = run_cli(
+            capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--out", str(target)]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write report to {target}: ")
+        assert not target.parent.exists()
+
     def test_dimension_cap(self, capsys):
         rc, _, err = run_cli(
             capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--nmax", "1"]

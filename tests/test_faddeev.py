@@ -99,7 +99,7 @@ def fraction_recurrence(b):
     bk = coeffs[0]
     for k in range(1, n + 1):
         prod = bk * b
-        dk = -prod.trace() / k
+        dk = -sum(row[r] for r, row in enumerate(prod.rows())) / k
         d.append(dk)
         if k < n:
             bk = prod + dk * identity(n)
@@ -173,7 +173,7 @@ class TestAdjugateAt:
             ac = adjugate_coeffs(b)
             for _ in range(5):
                 lam = random_rational(rng)
-                left = (lam * identity(n) - b) * adjugate_at(ac, lam)
+                left = (lam * identity(n) + (-1) * b) * adjugate_at(ac, lam)
                 assert left == ac.cp.evaluate(lam) * identity(n)
 
 

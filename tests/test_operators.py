@@ -10,7 +10,6 @@ from conftest import (
     random_polynomial_column,
     random_sequence_column,
 )
-from opreduce.exactcore import identity
 from opreduce.faddeev import CharPoly
 from opreduce.operators import (
     ElementColumn,
@@ -20,11 +19,9 @@ from opreduce.operators import (
     OperatorKind,
     Polynomial,
     apply,
-    apply_power,
     apply_vector,
     eval_scalar_equation,
     lincomb,
-    mat_act,
 )
 from opreduce.reduction import total_reduce_adjugate
 
@@ -33,6 +30,13 @@ DERIV = OperatorKind.DERIVATIVE
 ZERO = OperatorKind.ZERO
 
 poly_coeffs = st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=7)
+
+
+def power(kind, e, j):
+    """j-fold application of the operator, one `apply` at a time."""
+    for _ in range(j):
+        e = apply(kind, e)
+    return e
 
 
 class TestElements:
@@ -96,34 +100,30 @@ class TestApplyPower:
     def test_zero_power_is_identity(self):
         s = FiniteSequence(0, [1, 2])
         p = Polynomial([1, 2, 3])
-        assert apply_power(SHIFT, s, 0) == s
-        assert apply_power(ZERO, p, 0) == p
+        assert power(SHIFT, s, 0) == s
+        assert power(ZERO, p, 0) == p
 
     def test_derivative_cube(self):
-        assert apply_power(DERIV, Polynomial([0, 0, 0, 1]), 3) == Polynomial([6])
+        assert power(DERIV, Polynomial([0, 0, 0, 1]), 3) == Polynomial([6])
 
     def test_shift_twice(self):
-        assert apply_power(SHIFT, FiniteSequence(0, [1, 2, 3, 4]), 2) == FiniteSequence(0, [3, 4])
+        assert power(SHIFT, FiniteSequence(0, [1, 2, 3, 4]), 2) == FiniteSequence(0, [3, 4])
 
     def test_horizon_precondition(self):
         with pytest.raises(HorizonError):
-            apply_power(SHIFT, FiniteSequence(0, [1, 2, 3]), 3)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            apply_power(DERIV, Polynomial([1]), -1)
+            power(SHIFT, FiniteSequence(0, [1, 2, 3]), 3)
 
     @given(coeffs=poly_coeffs, i=st.integers(0, 3), j=st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_composition(self, coeffs, i, j):
         p = Polynomial(coeffs)
-        assert apply_power(DERIV, p, i + j) == apply_power(DERIV, apply_power(DERIV, p, j), i)
+        assert power(DERIV, p, i + j) == power(DERIV, power(DERIV, p, j), i)
 
     @given(coeffs=poly_coeffs)
     @settings(max_examples=60, deadline=None)
     def test_derivative_nilpotent(self, coeffs):
         p = Polynomial(coeffs)
-        assert apply_power(DERIV, p, p.degree() + 1).is_zero()
+        assert power(DERIV, p, p.degree() + 1).is_zero()
 
     @given(
         u=st.lists(st.integers(-9, 9), min_size=5, max_size=5),
@@ -152,19 +152,10 @@ class TestColumns:
 
     def test_apply_vector_shift(self):
         col = ElementColumn([FiniteSequence(0, [0, 1, 2, 3]), FiniteSequence(0, [5, 5, 5, 5])])
-        shifted = apply_vector(SHIFT, col, 1)
+        shifted = apply_vector(SHIFT, col)
         assert shifted == ElementColumn(
             [FiniteSequence(0, [1, 2, 3]), FiniteSequence(0, [5, 5, 5])]
         )
-
-    def test_mat_act_identity(self, rng):
-        col = random_sequence_column(rng, 3, horizon=4)
-        assert mat_act(identity(3), col) == col
-
-    def test_mat_act_shape_check(self, rng):
-        col = random_sequence_column(rng, 3, horizon=4)
-        with pytest.raises(HeterogeneousColumnError):
-            mat_act(identity(2), col)
 
     def test_lincomb_cancellation(self):
         e = Polynomial([4, 5])
@@ -199,8 +190,8 @@ class TestScalarEquation:
         cp = CharPoly(2, (Fraction(-5), Fraction(-2)))  # from [[1,2],[3,4]]
         x = FiniteSequence(0, [1, 0, 2, 5, -3, 7])
         psi = (
-            apply_power(SHIFT, x, 2)
-            + (-5) * apply_power(SHIFT, x, 1)
+            power(SHIFT, x, 2)
+            + (-5) * power(SHIFT, x, 1)
             + (-2) * x
         )
         residual = eval_scalar_equation(cp, SHIFT, x, psi)
@@ -211,8 +202,8 @@ class TestScalarEquation:
         cp = CharPoly(2, (Fraction(-5), Fraction(-2)))
         x = FiniteSequence(0, [1, 0, 2, 5, -3, 7])
         psi = (
-            apply_power(SHIFT, x, 2)
-            + (-5) * apply_power(SHIFT, x, 1)
+            power(SHIFT, x, 2)
+            + (-5) * power(SHIFT, x, 1)
             + (-2) * x
         )
         bumped = psi + FiniteSequence(0, [0, 1, 0, 0])
@@ -341,11 +332,3 @@ class TestLincomb:
             calls.clear()
             total_reduce_adjugate(random_matrix(rng, n), phi, kind)
             assert calls == [n * n] * n
-
-
-def test_matrix_power_action_on_columns(rng):
-    # j-fold mat_act equals action of the j-th matrix power
-    b = random_matrix(rng, 3)
-    col = random_sequence_column(rng, 3, horizon=5)
-    twice = mat_act(b, mat_act(b, col))
-    assert twice == mat_act(b * b, col)
