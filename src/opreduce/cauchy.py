@@ -145,13 +145,15 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
 
 
 def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> ElementColumn:
-    """Free column that makes x a solution by construction: A(x) - B x, one `lincomb` per row."""
-    if len(x) != b.n:
-        raise HeterogeneousColumnError(f"matrix of order {b.n} cannot act on a column of length {len(x)}")
-    return ElementColumn(
-        lincomb((1, *(-c for c in row)), (ax, *x))
-        for ax, row in zip(apply_vector(kind, x), b.rows())
-    )
+    """Free column that makes x a solution by construction: A(x) - B x, one `lincomb` call.
+
+    Row i of the scalars is [e_i | -(row i of B)] over the elements (A(x), x).
+    """
+    n = b.n
+    if len(x) != n:
+        raise HeterogeneousColumnError(f"matrix of order {n} cannot act on a column of length {len(x)}")
+    scalar_rows = [[int(i == j) for j in range(n)] + [-c for c in row] for i, row in enumerate(b.rows())]
+    return ElementColumn(lincomb(scalar_rows, (*apply_vector(kind, x), *x)))
 
 
 def _window(e: OperatorElement) -> tuple[int, int] | None:

@@ -149,14 +149,25 @@ def _emit(payload: dict, text_renderer, args) -> None:
         body = json.dumps(payload, indent=2) + "\n"
     else:
         body = text_renderer(payload)
-    if args.out == "-":
-        sys.stdout.write(body)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(body)
-        except OSError as exc:
-            raise SpecError(f"cannot write report to {args.out}: {exc}") from None
+    try:
+        args.stream.write(body)
+        args.stream.flush()
+    except OSError as exc:
+        raise SpecError(f"cannot write report to {args.out}: {exc}") from None
+
+
+@contextmanager
+def _report_stream(path: str):
+    """stdout for ``-``, else ``path`` opened for writing before any work is done."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SpecError(f"cannot write report to {path}: {exc}") from None
+    with handle:
+        yield handle
 
 
 @contextmanager
@@ -411,7 +422,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _report_stream(args.out) as args.stream:
+            return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

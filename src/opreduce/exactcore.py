@@ -184,10 +184,14 @@ def det_cofactor(m: Matrix) -> Fraction:
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """``(D, D*rows)``: D is the lcm of all entry denominators, the rows become ints.
 
-    Rows may differ in length; D is 1 when there are no entries.
+    Rows may differ in length; D is 1 when there are no entries.  The lcm
+    and the factor D/d are taken once per distinct denominator d, so repeated
+    denominators (shifted copies of one sequence, say) cost a lookup each.
     """
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    dens = {x.denominator for row in rows for x in row}
+    den = lcm(*dens)
+    factors = {d: den // d for d in dens}
+    return den, [[x.numerator * factors[x.denominator] for x in row] for row in rows]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:

@@ -52,18 +52,18 @@ class _Element:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return lincomb((1, 1), (self, other))
+        return lincomb([(1, 1)], (self, other))[0]
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return lincomb((1, -1), (self, other))
+        return lincomb([(1, -1)], (self, other))[0]
 
     def __neg__(self):
-        return lincomb((-1,), (self,))
+        return lincomb([(-1,)], (self,))[0]
 
     def __rmul__(self, scalar):
-        return lincomb((scalar,), (self,))
+        return lincomb([(scalar,)], (self,))[0]
 
     __mul__ = __rmul__
 
@@ -226,20 +226,25 @@ def apply_vector(kind: OperatorKind, col: ElementColumn) -> ElementColumn:
     return ElementColumn(apply(kind, e) for e in col)
 
 
-def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorElement:
-    """Exact rational linear combination of elements of one variant.
+def lincomb(
+    scalar_rows: Sequence[Sequence], elements: Sequence[OperatorElement]
+) -> tuple[OperatorElement, ...]:
+    """Exact rational linear combinations of elements of one variant, one per row.
 
-    Builds one element: sequences (one origin) are summed value by value on
-    the shortest window, polynomials coefficient by coefficient up to the
-    longest coefficient list.  The nonzero scalars are brought to one
-    denominator and all element values to another, so each output value is
-    one integer dot product, made a `Fraction` once.
+    Every row of scalars is as long as ``elements`` and gives one element:
+    sequences (one origin) are summed value by value on the shortest window,
+    polynomials coefficient by coefficient up to the longest coefficient
+    list.  All rows are brought to one denominator and the element values to
+    another, once per call, so each output value is one integer dot product,
+    made a `Fraction` once.  An element whose scalar is zero in every row is
+    skipped.
     """
-    if len(scalars) != len(elements):
-        raise ValueError("lincomb needs matching lengths")
     if not elements:
         raise ValueError("lincomb needs at least one element")
-    coeffs = as_column(scalars)
+    if not scalar_rows:
+        raise ValueError("lincomb needs at least one row of scalars")
+    if any(len(row) != len(elements) for row in scalar_rows):
+        raise ValueError("lincomb needs rows as long as the element list")
     first = elements[0]
     if not isinstance(first, (Polynomial, FiniteSequence)) or any(
         not isinstance(e, type(first)) for e in elements
@@ -248,21 +253,23 @@ def lincomb(scalars: Sequence, elements: Sequence[OperatorElement]) -> OperatorE
     if isinstance(first, FiniteSequence):
         if any(e.origin != first.origin for e in elements):
             raise HeterogeneousColumnError("cannot combine sequences with different origins")
-        rows = [e.values for e in elements]
-        width = min(len(row) for row in rows)
+        values = [e.values for e in elements]
+        width = min(len(row) for row in values)
     else:
-        rows = [e.coeffs for e in elements]
-        width = max(len(row) for row in rows)
-    live = [(q, row[:width]) for q, row in zip(coeffs, rows) if q]
-    q_den, (q_ints,) = clear_denominators([[q for q, _ in live]])
-    v_den, v_ints = clear_denominators([row for _, row in live])
+        values = [e.coeffs for e in elements]
+        width = max(len(row) for row in values)
+    coeff_rows = [as_column(row) for row in scalar_rows]
+    live = [j for j, column in enumerate(zip(*coeff_rows)) if any(column)]
+    q_den, q_ints = clear_denominators([[row[j] for j in live] for row in coeff_rows])
+    v_den, v_ints = clear_denominators([values[j][:width] for j in live])
     den = q_den * v_den
-    padded = (row + [0] * (width - len(row)) for row in v_ints)
-    # with no nonzero scalar there are no columns, and the result is zero on the same width
-    sums = [Fraction(sum(map(mul, q_ints, col)), den) for col in zip(*padded)] or [0] * width
+    # one transpose serves every row; with no live element there are no
+    # columns, and each result is zero on the same width
+    columns = list(zip(*(row + [0] * (width - len(row)) for row in v_ints)))
+    sums = [[Fraction(sum(map(mul, q, col)), den) for col in columns] or [0] * width for q in q_ints]
     if isinstance(first, FiniteSequence):
-        return FiniteSequence(first.origin, sums)
-    return Polynomial(sums)
+        return tuple(FiniteSequence(first.origin, row) for row in sums)
+    return tuple(Polynomial(row) for row in sums)
 
 
 def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: OperatorElement) -> OperatorElement:
@@ -277,4 +284,4 @@ def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: Operat
     powers = [x]
     for _ in range(n):
         powers.append(apply(kind, powers[-1]))
-    return lincomb((1, *cp.d, -1), (*powers[::-1], psi))
+    return lincomb([(1, *cp.d, -1)], (*powers[::-1], psi))[0]

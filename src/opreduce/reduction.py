@@ -110,17 +110,20 @@ def _reduce(
     """
     n = cp.n
     powers = _operator_powers(kind, phi, n)
-    symbolic, evaluated = [], []
+    symbolic, scalar_rows = [], []
     for i in range(1, n + 1):
-        terms, scalars, elements = [], [], []
+        terms, scalars = [], []
         for k in range(1, n + 1):
             sign = (-1) ** (k - 1)
             row = rows[k - 1][i - 1]
             terms.append(RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=_signed(k, row)))
             scalars.extend(row)
-            elements.extend(powers[n - k].entries)
         symbolic.append(tuple(terms))
-        evaluated.append(lincomb(scalars, elements))
+        scalar_rows.append(scalars)
+    # every right-hand side in one combination: n rows of scalars over the
+    # n^2 entries of A^(n-1) phi, ..., A^0 phi, so each entry is cleared once
+    elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
+    evaluated = lincomb(scalar_rows, elements)
     return ReducedSystem(cp=cp, rhs_symbolic=tuple(symbolic), rhs_evaluated=ElementColumn(evaluated))
 
 

@@ -10,6 +10,9 @@ from opreduce.operators import ElementColumn, FiniteSequence, Polynomial
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# pairwise coprime denominators, so common denominators grow large
+LARGE_PRIMES = (7853, 7867, 7873, 7877, 7879, 7883, 7901, 7907, 7919)
+
 
 def random_rational(rng: random.Random, bound: int = 9) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))

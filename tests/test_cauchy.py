@@ -3,7 +3,13 @@ from math import gcd
 
 import pytest
 
-from conftest import random_column, random_matrix, random_sequence_column
+from conftest import (
+    patch_everywhere,
+    random_column,
+    random_matrix,
+    random_polynomial_column,
+    random_sequence_column,
+)
 from opreduce.cauchy import (
     CauchyProblem,
     derived_initial_conditions,
@@ -21,6 +27,7 @@ from opreduce.operators import (
     OperatorKind,
     Polynomial,
     apply_vector,
+    lincomb,
 )
 
 SHIFT = OperatorKind.SHIFT
@@ -161,6 +168,31 @@ class TestManufactureSolution:
         x = ElementColumn([Polynomial([0, 1]), Polynomial([0, 0, 1])])  # (t, t^2)
         phi = manufacture_solution(identity(2), x, DERIV)
         assert phi == ElementColumn([Polynomial([1, -1]), Polynomial([0, 2, -1])])
+
+    @pytest.mark.parametrize("kind", [SHIFT, DERIV])
+    def test_one_combination_for_all_rows(self, kind, rng, monkeypatch):
+        calls = []
+        original = lincomb
+
+        def counting_lincomb(scalar_rows, elements):
+            calls.append((len(scalar_rows), len(elements)))
+            return original(scalar_rows, elements)
+
+        patch_everywhere(monkeypatch, original, counting_lincomb)
+        n = 3
+        if kind is SHIFT:
+            x = random_sequence_column(rng, n, horizon=5)
+        else:
+            x = random_polynomial_column(rng, n, max_degree=4)
+        b = random_matrix(rng, n)
+        phi = manufacture_solution(b, x, kind)
+        assert calls == [(n, 2 * n)]
+        ax = apply_vector(kind, x)
+        for i, row in enumerate(b.rows()):
+            expected = ax[i]
+            for c, e in zip(row, x):
+                expected = expected - c * e
+            assert phi[i] == expected
 
     def test_column_longer_than_n_rejected(self, rng):
         # without the check, pairing rows of B with A(x) would drop x_3 silently

@@ -118,6 +118,21 @@ class TestReduce:
         assert err.startswith(f"error: cannot write report to {target}: ")
         assert not target.parent.exists()
 
+    def test_unwritable_out_file_fails_before_any_work(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            raise AssertionError("the reduction ran before --out was opened")
+
+        monkeypatch.setattr(cli, "total_reduce_adjugate", recording)
+        target = tmp_path / "missing" / "report.json"
+        rc, out, err = run_cli(
+            capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--out", str(target)]
+        )
+        assert (rc, out, calls) == (2, "", [])
+        assert err.startswith(f"error: cannot write report to {target}: ")
+
     def test_dimension_cap(self, capsys):
         rc, _, err = run_cli(
             capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--nmax", "1"]

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_column, random_matrix
+from conftest import LARGE_PRIMES, random_column, random_matrix
 from opreduce.exactcore import (
     DimensionError,
     Matrix,
@@ -155,7 +156,30 @@ class TestDeterminant:
             Matrix([[1, 2, 3], [4, 5, 6]])
 
 
+def reference_clear(rows):
+    """lcm over every denominator, one entry at a time, then x * D as ints."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = lcm(den, x.denominator)
+    return den, [[int(x * den) for x in row] for row in rows]
+
+
+repeated_large = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(LARGE_PRIMES))
+
+
 class TestIntegerKernel:
+    @given(rows=st.lists(st.lists(st.one_of(rationals, repeated_large), max_size=12), max_size=6))
+    @example(rows=[])
+    @example(rows=[[], []])
+    @example(rows=[[Fraction(k, p) for p in LARGE_PRIMES] * 4 for k in (1, -3, 0)] + [[]])
+    @settings(max_examples=200, deadline=None)
+    def test_clear_denominators_matches_a_reference(self, rows):
+        # ragged rows, empty rows, no rows at all (D = 1), and many repeats of large denominators
+        den, int_rows = clear_denominators(rows)
+        assert (den, int_rows) == reference_clear(rows)
+        assert all(type(x) is int for row in int_rows for x in row)
+
     def test_clear_denominators(self):
         den, rows = clear_denominators(Matrix([["1/2", "-2/3"], [5, "3/4"]]).rows())
         assert den == 12

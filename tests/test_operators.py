@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LARGE_PRIMES,
     patch_everywhere,
     random_matrix,
     random_polynomial_column,
@@ -159,21 +160,21 @@ class TestColumns:
 
     def test_lincomb_cancellation(self):
         e = Polynomial([4, 5])
-        assert lincomb([1, -1], [e, e]).is_zero()
+        assert lincomb([[1, -1]], [e, e])[0].is_zero()
         s = FiniteSequence(0, [1, 2, 3])
-        assert lincomb([1, -1], [s, s]).is_zero()
+        assert lincomb([[1, -1]], [s, s])[0].is_zero()
 
     def test_lincomb_validation(self):
         with pytest.raises(ValueError):
-            lincomb([1, 2], [Polynomial([1])])
+            lincomb([[1, 2]], [Polynomial([1])])
         with pytest.raises(ValueError):
-            lincomb([], [])
+            lincomb([[]], [])
         with pytest.raises(HeterogeneousColumnError):
-            lincomb([1, 1], [FiniteSequence(0, [1, 2]), FiniteSequence(1, [1, 2])])
+            lincomb([[1, 1]], [FiniteSequence(0, [1, 2]), FiniteSequence(1, [1, 2])])
         with pytest.raises(TypeError):
-            lincomb([1, 1], [Polynomial([1]), FiniteSequence(0, [1])])
+            lincomb([[1, 1]], [Polynomial([1]), FiniteSequence(0, [1])])
         with pytest.raises(TypeError):
-            lincomb([1, 1], [FiniteSequence(0, [1]), Polynomial([1])])
+            lincomb([[1, 1]], [FiniteSequence(0, [1]), Polynomial([1])])
         with pytest.raises(TypeError):
             Polynomial([1]) + FiniteSequence(0, [1])
 
@@ -241,9 +242,7 @@ def fold_sequences(scalars, value_lists):
 
 scalars_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 values_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
-# pairwise coprime denominators, so the common denominators grow large
-large_primes = (7853, 7867, 7873, 7877, 7879, 7883, 7901, 7907, 7919)
-large_st = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(large_primes))
+large_st = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(LARGE_PRIMES))
 
 
 class TestLincomb:
@@ -262,7 +261,7 @@ class TestLincomb:
             top = sum(q * cs[-1] for q, cs in zip(scalars, coeff_lists) if len(cs) == width)
             scalars.append(Fraction(1))
             coeff_lists.append((lower + [0] * width)[: width - 1] + [-top])
-        combined = lincomb(scalars, [Polynomial(cs) for cs in coeff_lists])
+        combined = lincomb([scalars], [Polynomial(cs) for cs in coeff_lists])[0]
         expected = fold_polynomials(scalars, coeff_lists)
         assert combined == Polynomial(expected)
         assert combined.coeffs == expected
@@ -279,7 +278,7 @@ class TestLincomb:
     def test_sequences_match_a_term_by_term_fold(self, terms, origin):
         scalars = [q for q, _ in terms]
         value_lists = [values for _, values in terms]
-        combined = lincomb(scalars, [FiniteSequence(origin, values) for values in value_lists])
+        combined = lincomb([scalars], [FiniteSequence(origin, values) for values in value_lists])[0]
         assert combined.origin == origin
         assert combined.values == fold_sequences(scalars, value_lists)
         assert combined.horizon == min(len(values) for values in value_lists)
@@ -297,8 +296,8 @@ class TestLincomb:
     def test_large_coprime_denominators_and_zero_scalars(self, terms, all_zero, origin):
         scalars = [Fraction(0) if all_zero else q for q, _ in terms]
         value_lists = [values for _, values in terms]
-        poly = lincomb(scalars, [Polynomial(values) for values in value_lists])
-        seq = lincomb(scalars, [FiniteSequence(origin, values) for values in value_lists])
+        poly = lincomb([scalars], [Polynomial(values) for values in value_lists])[0]
+        seq = lincomb([scalars], [FiniteSequence(origin, values) for values in value_lists])[0]
         assert poly.coeffs == fold_polynomials(scalars, value_lists)
         assert seq.values == fold_sequences(scalars, value_lists)
         assert seq.origin == origin
@@ -307,21 +306,55 @@ class TestLincomb:
             assert poly == Polynomial()
             assert seq == FiniteSequence(origin, [0] * min(len(values) for values in value_lists))
 
+    @given(
+        value_lists=st.lists(
+            st.lists(st.one_of(values_st, large_st), min_size=1, max_size=6), min_size=1, max_size=5
+        ),
+        data=st.data(),
+        origin=st.integers(-3, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_single_row_folds(self, value_lists, data, origin):
+        m = len(value_lists)
+        rows = data.draw(
+            st.lists(st.lists(st.one_of(scalars_st, large_st), min_size=m, max_size=m), min_size=1, max_size=4)
+        )
+        # an element whose scalar is zero in every row, and an all-zero row among the others
+        dead = data.draw(st.integers(0, m - 1))
+        rows = [[Fraction(0) if j == dead else q for j, q in enumerate(row)] for row in rows]
+        rows.insert(data.draw(st.integers(0, len(rows))), [Fraction(0)] * m)
+        polys = lincomb(rows, [Polynomial(values) for values in value_lists])
+        seqs = lincomb(rows, [FiniteSequence(origin, values) for values in value_lists])
+        assert len(polys) == len(seqs) == len(rows)
+        for row, poly, seq in zip(rows, polys, seqs):
+            assert poly.coeffs == fold_polynomials(row, value_lists)
+            assert seq.values == fold_sequences(row, value_lists)
+            assert seq.origin == origin
+            assert all(type(v) is Fraction for v in (*poly.coeffs, *seq.values))
+
+    def test_row_validation(self):
+        with pytest.raises(ValueError):
+            lincomb([], [Polynomial([1])])
+        with pytest.raises(ValueError):
+            lincomb([[1], [1, 2]], [Polynomial([1])])
+        with pytest.raises(ValueError):
+            lincomb([[1, 2], [1]], [Polynomial([1]), Polynomial([2])])
+
     def test_all_zero_scalars(self):
         seqs = [FiniteSequence(2, ["1/7919", 5, 6]), FiniteSequence(2, [4, "3/7853"])]
-        assert lincomb([0, 0], seqs) == FiniteSequence(2, [0, 0])
-        assert lincomb([0, 0], [Polynomial([1, 2]), Polynomial([0, 0, 3])]) == Polynomial()
-        assert lincomb([0], [Polynomial()]) == Polynomial()
+        assert lincomb([[0, 0]], seqs)[0] == FiniteSequence(2, [0, 0])
+        assert lincomb([[0, 0]], [Polynomial([1, 2]), Polynomial([0, 0, 3])])[0] == Polynomial()
+        assert lincomb([[0]], [Polynomial()])[0] == Polynomial()
 
     @pytest.mark.parametrize("kind", [SHIFT, DERIV])
     def test_adjugate_route_combines_once_per_variable(self, kind, rng, monkeypatch):
-        # each right-hand side is one combination of all n^2 (scalar, power entry) pairs
+        # all n right-hand sides are one combination: n rows of scalars over the n^2 power entries
         calls = []
         original = lincomb
 
-        def counting_lincomb(scalars, elements):
-            calls.append(len(elements))
-            return original(scalars, elements)
+        def counting_lincomb(scalar_rows, elements):
+            calls.append((len(scalar_rows), {len(row) for row in scalar_rows}, len(elements)))
+            return original(scalar_rows, elements)
 
         patch_everywhere(monkeypatch, original, counting_lincomb)
         for n in (1, 2, 4):
@@ -331,4 +364,4 @@ class TestLincomb:
                 phi = random_polynomial_column(rng, n, max_degree=4)
             calls.clear()
             total_reduce_adjugate(random_matrix(rng, n), phi, kind)
-            assert calls == [n * n] * n
+            assert calls == [(n, {n * n}, n * n)]
