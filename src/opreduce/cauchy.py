@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .exactcore import Matrix, as_column, clear_denominators, identity, mat_vec
+from .exactcore import Matrix, as_column, clear_denominators, matmul_int
 from .operators import (
     ElementColumn,
     FiniteSequence,
@@ -122,25 +122,34 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
     """Initial values of the operator powers 1..n-1 of every variable.
 
     Entry [i-1][j-1] is [B^j x(t0)]_i + sum_{k=0}^{j-1} [B^(j-1-k) (A^k phi)(t0)]_i,
-    which for the shift kind equals the trajectory value x_i(t0 + j).  Each
-    power B^j is computed once.
+    which for the shift kind equals the trajectory value x_i(t0 + j).  With
+    B = M/D and x(t0), phi(t0 + k) cleared together to X/S, P_k/S, column j
+    is (M^j X + sum_k D^(k+1) M^(j-1-k) P_k) / (D^j S) over ints; each power
+    M^j is computed once.
     """
     n = b.n
     if phi.variant != "sequence":
         raise ValueError("derived initial conditions need a sequence free column")
+    if len(phi) != n:
+        raise ValueError(f"free column has {len(phi)} entries, expected {n}")
+    start = as_column(x0)
+    if len(start) != n:
+        raise ValueError(f"initial column has {len(start)} entries, expected {n}")
     if phi.entries[0].horizon <= n - 1:
         raise HorizonError(f"free column horizon {phi.entries[0].horizon} too short for power {n - 1}")
-    start = as_column(x0)
-    b_powers = [identity(n)]
-    for _ in range(n - 1):
-        b_powers.append(b_powers[-1] * b)
-    phi_at_t0 = [tuple(entry.values[k] for entry in phi.entries) for k in range(n - 1)]
+    den, m = clear_denominators(b.rows())
+    phi_at_t0 = ([entry.values[k] for entry in phi.entries] for k in range(n - 1))
+    scale, (x, *p) = clear_denominators([start, *phi_at_t0])
+    powers = [[[int(r == c) for c in range(n)] for r in range(n)]]
+    while len(powers) < n:
+        powers.append(matmul_int(powers[-1], m))
     columns = []
     for j in range(1, n):
-        total = mat_vec(b_powers[j], start)
+        total = [sum(map(mul, row, x)) for row in powers[j]]
         for k in range(j):
-            total = tuple(a + c for a, c in zip(total, mat_vec(b_powers[j - 1 - k], phi_at_t0[k])))
-        columns.append(total)
+            weight = den ** (k + 1)
+            total = [t + weight * sum(map(mul, row, p[k])) for t, row in zip(total, powers[j - 1 - k])]
+        columns.append([Fraction(t, den**j * scale) for t in total])
     return tuple(tuple(column[i] for column in columns) for i in range(n))
 
 

@@ -4,7 +4,9 @@ Everything in the reduction pipeline is built on arbitrary-precision
 rationals; no floating point is accepted anywhere.  Scalars are
 ``fractions.Fraction`` values, which are always kept in canonical form
 (positive denominator, gcd 1, zero as 0/1).  Matrices are immutable and
-dense and square, with exact determinants.
+dense and square, with exact determinants.  `Matrix` has no arithmetic
+operators: products run on integer rows, cleared once by
+`clear_denominators`, through `matmul_int`.
 
 Row/column index arguments on the public surface are 1-based.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -88,34 +91,6 @@ class Matrix:
     def __hash__(self) -> int:
         return hash(self._rows)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionError(f"cannot add {self.n}x{self.n} and {other.n}x{other.n}")
-        return Matrix(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self._rows, other._rows)
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionError(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
-        cols = tuple(zip(*other._rows))
-        return Matrix(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-            for row in self._rows
-        )
-
-    def __rmul__(self, other):
-        try:
-            q = as_rational(other)
-        except TypeError:
-            return NotImplemented
-        return Matrix(tuple(q * x for x in row) for row in self._rows)
-
     def __repr__(self) -> str:
         body = ", ".join(
             "[" + ", ".join(format_rational(x) for x in row) + "]" for row in self._rows
@@ -127,10 +102,6 @@ def identity(n: int) -> Matrix:
     return Matrix(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
-
-
-def zeros(n: int) -> Matrix:
-    return Matrix(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
 
 
 def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
@@ -192,6 +163,15 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[li
     den = lcm(*dens)
     factors = {d: den // d for d in dens}
     return den, [[x.numerator * factors[x.denominator] for x in row] for row in rows]
+
+
+def matmul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two square integer matrices of one order, given as rows."""
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in (*a, *b)):
+        raise DimensionError("integer matrix product needs two square matrices of one order")
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .exactcore import Matrix, as_rational, clear_denominators, identity, zeros
+from .exactcore import DimensionError, Matrix, as_rational, clear_denominators, identity, matmul_int
 from .minors import delta_k
 
 
@@ -84,13 +83,12 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
     """
     n = b.n
     den, m = clear_denominators(b.rows())
-    m_cols = tuple(zip(*m))
     d: list[Fraction] = []
     coeffs: list[Matrix] = [identity(n)]
     c_rows = [[int(i == j) for j in range(n)] for i in range(n)]
     scale = 1
     for k in range(1, n + 1):
-        prod = [[sum(map(mul, row, col)) for col in m_cols] for row in c_rows]
+        prod = matmul_int(c_rows, m)
         ck, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
         if rem:
             raise RecurrenceError(f"trace in step {k} of the integer recurrence is not divisible by {k}")
@@ -104,21 +102,17 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
     return AdjugateCoeffs(n, tuple(coeffs), CharPoly(n, tuple(d)))
 
 
-def adjugate_at(ac: AdjugateCoeffs, lam) -> Matrix:
-    """Evaluate the adjugate matrix polynomial at a rational point (Horner)."""
-    lam = as_rational(lam)
-    acc = ac.coeffs[0]
-    for bj in ac.coeffs[1:]:
-        acc = lam * acc + bj
-    return acc
-
-
-def cayley_hamilton_residual(b: Matrix, ac: AdjugateCoeffs) -> Matrix:
-    """B_{n-1} B + d_n I for the coefficients ``ac`` of B; zero whenever they are correct."""
-    n = b.n
-    return ac.coeffs[n - 1] * b + ac.cp.coefficient(n) * identity(n)
-
-
 def cayley_hamilton_check(b: Matrix, ac: AdjugateCoeffs) -> bool:
-    """True iff ``ac`` terminates the recurrence at zero, as the Cayley-Hamilton theorem demands."""
-    return cayley_hamilton_residual(b, ac) == zeros(b.n)
+    """True iff ``ac`` terminates the recurrence at zero, as the Cayley-Hamilton theorem demands.
+
+    The residual B_{n-1} B + d_n I vanishes exactly when C M = -d_n D E I,
+    with B = M/D and B_{n-1} = C/E cleared over ints.
+    """
+    n = b.n
+    if ac.n != n:
+        raise DimensionError(f"adjugate coefficients of order {ac.n} do not belong to a {n}x{n} matrix")
+    den, m = clear_denominators(b.rows())
+    scale, c = clear_denominators(ac.coeffs[n - 1].rows())
+    target = -ac.cp.coefficient(n) * den * scale
+    prod = matmul_int(c, m)
+    return all(x == (target if r == col else 0) for r, row in enumerate(prod) for col, x in enumerate(row))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, clear_denominators, column_substitute, det, det_int
+from .exactcore import Matrix, as_column, clear_denominators, det, det_int
 
 
 def _principal_minor(rows: list[list[int]], subset: Sequence[int]) -> int:
@@ -69,7 +69,7 @@ def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
         raise ValueError(f"substituted column has {len(col)} entries, expected {n}")
     if k > n:
         return Fraction(0)
-    den, rows = clear_denominators(column_substitute(m, i, col).rows())
+    den, rows = clear_denominators([row[: i - 1] + (c,) + row[i:] for row, c in zip(m.rows(), col)])
     anchor = i - 1
     total = sum(
         _principal_minor(rows, subset) for subset in combinations(range(n), k) if anchor in subset

@@ -53,6 +53,22 @@ def random_polynomial_column(
     )
 
 
+def zero_matrix(n: int) -> Matrix:
+    return Matrix([[0] * n for _ in range(n)])
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Reference product over Fraction, entry by entry."""
+    assert a.n == b.n
+    cols = tuple(zip(*b.rows()))
+    return Matrix([sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a.rows())
+
+
+def plus_identity(m: Matrix, c) -> Matrix:
+    """m + c*I over Fraction."""
+    return Matrix([x + c if r == col else x for col, x in enumerate(row)] for r, row in enumerate(m.rows()))
+
+
 def patch_everywhere(monkeypatch, original, replacement) -> None:
     """Replace ``original`` at every attribute of every loaded opreduce module holding it."""
     for name, module in list(sys.modules.items()):

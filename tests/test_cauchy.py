@@ -2,13 +2,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    LARGE_PRIMES,
+    matmul,
     patch_everywhere,
     random_column,
     random_matrix,
     random_polynomial_column,
     random_sequence_column,
+    zero_matrix,
 )
 from opreduce.cauchy import (
     CauchyProblem,
@@ -18,7 +23,7 @@ from opreduce.cauchy import (
     solve_cauchy,
     verify_total_reduction,
 )
-from opreduce.exactcore import Matrix, identity, mat_vec, zeros
+from opreduce.exactcore import Matrix, identity, mat_vec
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
@@ -52,6 +57,28 @@ def fraction_recurrence(b, phi, x0, steps):
     return [tuple(state[i] for state in states) for i in range(b.n)]
 
 
+def explicit_formula(b, phi, x0):
+    """Column j is B^j x0 + sum_{k<j} B^(j-1-k) phi(t0+k), over Fractions with the reference product."""
+    n = b.n
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(matmul(powers[-1], b))
+    columns = []
+    for j in range(1, n):
+        total = mat_vec(powers[j], x0)
+        for k in range(j):
+            term = mat_vec(powers[j - 1 - k], [entry.values[k] for entry in phi])
+            total = tuple(a + c for a, c in zip(total, term))
+        columns.append(total)
+    return tuple(tuple(column[i] for column in columns) for i in range(n))
+
+
+scalars = st.one_of(
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(LARGE_PRIMES)),
+)
+
+
 def assert_canonical(traj):
     for seq in traj:
         for v in seq.values:
@@ -78,7 +105,7 @@ class TestIterateDifference:
     def test_zero_identity_and_zero_start(self, rng):
         for n in (1, 3, 6):
             phi = random_sequence_column(rng, n, horizon=12)
-            for b in (zeros(n), identity(n), random_matrix(rng, n)):
+            for b in (zero_matrix(n), identity(n), random_matrix(rng, n)):
                 assert_matches_fraction_recurrence(b, phi, random_column(rng, n), 12)
                 assert_matches_fraction_recurrence(b, phi, (0,) * n, 12)
             assert_matches_fraction_recurrence(random_matrix(rng, n), zero_phi(n, 12), (0,) * n, 12)
@@ -93,7 +120,7 @@ class TestIterateDifference:
         assert_matches_fraction_recurrence(b, phi, ("1/2", 3), 30)
 
     def test_zero_matrix_zero_phi_is_constant_after_first_step(self):
-        traj = iterate_difference(zeros(2), zero_phi(2, 6), (3, -1), 4)
+        traj = iterate_difference(zero_matrix(2), zero_phi(2, 6), (3, -1), 4)
         assert traj[0].values == (3, 0, 0, 0, 0)
         assert traj[1].values == (-1, 0, 0, 0, 0)
 
@@ -151,6 +178,47 @@ class TestDerivedInitialConditions:
         with pytest.raises(HorizonError):
             derived_initial_conditions(b, ElementColumn([FiniteSequence(0, [1])] * 3), x0)
 
+    def test_rejects_columns_of_the_wrong_length(self, rng):
+        # the products would otherwise stop at the shorter input and return a truncated answer
+        for n in (1, 2, 4):
+            b = random_matrix(rng, n)
+            phi = random_sequence_column(rng, n, horizon=n + 2)
+            for x0 in (random_column(rng, n + 2), random_column(rng, n + 1), random_column(rng, n - 1)):
+                with pytest.raises(ValueError, match="initial column"):
+                    derived_initial_conditions(b, phi, x0)
+            for width in {n + 1, n - 1 or n + 2}:
+                wrong = random_sequence_column(rng, width, horizon=n + 2)
+                with pytest.raises(ValueError, match="free column"):
+                    derived_initial_conditions(b, wrong, random_column(rng, n))
+        with pytest.raises(ValueError):
+            derived_initial_conditions(Matrix([[2]]), zero_phi(1, 3), (1, 2, 3))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_explicit_formula(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        column = st.lists(scalars, min_size=n, max_size=n)
+        if data.draw(st.booleans(), label="zero matrix"):
+            b = zero_matrix(n)
+        else:
+            b = Matrix(data.draw(st.lists(column, min_size=n, max_size=n), label="B"))
+        x0 = tuple(data.draw(column, label="x0"))
+        horizon = data.draw(st.integers(n, n + 2), label="horizon")
+        values = st.lists(scalars, min_size=horizon, max_size=horizon)
+        phi = ElementColumn(FiniteSequence(0, data.draw(values, label="phi values")) for _ in range(n))
+        assert derived_initial_conditions(b, phi, x0) == explicit_formula(b, phi, x0)
+
+    def test_explicit_formula_edge_cases(self):
+        large = Matrix([[Fraction(r - c, p) for c, p in enumerate(LARGE_PRIMES[r : r + 4])] for r in range(4)])
+        x0 = tuple(Fraction(1, p) for p in LARGE_PRIMES[:4])
+        phi = ElementColumn(
+            FiniteSequence(0, [Fraction(k + i, p) for k, p in enumerate(LARGE_PRIMES)]) for i in range(4)
+        )
+        for b in (large, zero_matrix(4)):
+            assert derived_initial_conditions(b, phi, x0) == explicit_formula(b, phi, x0)
+        assert derived_initial_conditions(Matrix([["7/3"]]), zero_phi(1, 1), ("1/7919",)) == ((),)
+        assert derived_initial_conditions(zero_matrix(2), zero_phi(2, 2), (3, 5)) == ((0,), (0,))
+
 
 class TestManufactureSolution:
     def test_homogeneous_solution_gives_zero_phi(self):
@@ -161,7 +229,7 @@ class TestManufactureSolution:
 
     def test_zero_matrix_gives_operator_image(self, rng):
         x = random_sequence_column(rng, 2, horizon=5)
-        phi = manufacture_solution(zeros(2), x, SHIFT)
+        phi = manufacture_solution(zero_matrix(2), x, SHIFT)
         assert phi == apply_vector(SHIFT, x)
 
     def test_polynomial_example(self):

@@ -3,16 +3,25 @@ from math import comb
 
 import pytest
 
-from conftest import DATA_DIR, random_column, random_matrix, random_rational
+from conftest import (
+    DATA_DIR,
+    LARGE_PRIMES,
+    matmul,
+    plus_identity,
+    random_column,
+    random_matrix,
+    random_nonsingular_matrix,
+    random_rational,
+    zero_matrix,
+)
 from opreduce import faddeev
 from opreduce.cli import main
-from opreduce.exactcore import Matrix, identity, mat_vec, zeros
+from opreduce.exactcore import DimensionError, Matrix, identity, mat_vec
 from opreduce.faddeev import (
+    AdjugateCoeffs,
     CharPoly,
-    adjugate_at,
     adjugate_coeffs,
     cayley_hamilton_check,
-    cayley_hamilton_residual,
     char_poly,
     char_poly_minors,
 )
@@ -74,14 +83,15 @@ class TestAdjugateCoeffs:
         ac = adjugate_coeffs(b)
         assert ac.coeffs == (identity(1),)
         assert ac.cp.d == (Fraction(-7, 3),)
-        assert cayley_hamilton_residual(b, ac) == zeros(1)
+        assert plus_identity(matmul(ac.coeffs[0], b), ac.cp.coefficient(1)) == zero_matrix(1)
+        assert cayley_hamilton_check(b, ac)
 
     def test_recurrence_invariant(self, rng):
         for n in (2, 3, 4, 5):
             b = random_matrix(rng, n)
             ac = adjugate_coeffs(b)
             for k in range(1, n):
-                expected = ac.coeffs[k - 1] * b + ac.cp.coefficient(k) * identity(n)
+                expected = plus_identity(matmul(ac.coeffs[k - 1], b), ac.cp.coefficient(k))
                 assert ac.coeffs[k] == expected
 
     def test_cayley_hamilton_termination(self, rng):
@@ -89,6 +99,32 @@ class TestAdjugateCoeffs:
             for _ in range(5):
                 b = random_matrix(rng, n)
                 assert cayley_hamilton_check(b, adjugate_coeffs(b))
+
+    def test_cayley_hamilton_rejects_perturbed_coefficients(self, rng):
+        # a wrong d_n leaves d I in the residual; a wrong entry (r, c) of B_{n-1}
+        # leaves row c of B in row r, which is nonzero for a nonsingular B
+        large = Matrix([[Fraction(1 + r * c, p) for c, p in enumerate(LARGE_PRIMES[r : r + 3])] for r in range(3)])
+        matrices = [random_nonsingular_matrix(rng, n) for n in range(1, 7)] + [large]
+        for b in (*matrices, zero_matrix(1), zero_matrix(3)):
+            n = b.n
+            ac = adjugate_coeffs(b)
+            assert cayley_hamilton_check(b, ac)
+            d = list(ac.cp.d)
+            d[n - 1] += 1
+            assert not cayley_hamilton_check(b, AdjugateCoeffs(n, ac.coeffs, CharPoly(n, tuple(d))))
+        for b in matrices:
+            n = b.n
+            ac = adjugate_coeffs(b)
+            for r, c in {(0, 0), (n - 1, 0), (0, n - 1)}:
+                rows = [list(row) for row in ac.coeffs[n - 1].rows()]
+                rows[r][c] += Fraction(1, 7)
+                coeffs = (*ac.coeffs[: n - 1], Matrix(rows))
+                assert not cayley_hamilton_check(b, AdjugateCoeffs(n, coeffs, ac.cp))
+
+    def test_cayley_hamilton_rejects_coefficients_of_another_order(self, rng):
+        for n, other in ((2, 3), (3, 2), (1, 2), (4, 1)):
+            with pytest.raises(DimensionError):
+                cayley_hamilton_check(random_matrix(rng, n), adjugate_coeffs(random_matrix(rng, other)))
 
 
 def fraction_recurrence(b):
@@ -98,11 +134,11 @@ def fraction_recurrence(b):
     coeffs = [identity(n)]
     bk = coeffs[0]
     for k in range(1, n + 1):
-        prod = bk * b
+        prod = matmul(bk, b)
         dk = -sum(row[r] for r, row in enumerate(prod.rows())) / k
         d.append(dk)
         if k < n:
-            bk = prod + dk * identity(n)
+            bk = plus_identity(prod, dk)
             coeffs.append(bk)
     return tuple(coeffs), tuple(d)
 
@@ -127,9 +163,9 @@ class TestIntegerLift:
 
     def test_zero_and_identity(self):
         for n in (1, 3, 6):
-            assert_matches_fraction_recurrence(zeros(n))
+            assert_matches_fraction_recurrence(zero_matrix(n))
             assert_matches_fraction_recurrence(identity(n))
-        assert adjugate_coeffs(zeros(3)).cp.d == (0, 0, 0)
+        assert adjugate_coeffs(zero_matrix(3)).cp.d == (0, 0, 0)
 
     def test_large_coprime_denominators(self):
         b = Matrix(
@@ -152,29 +188,26 @@ class TestIntegerLift:
             main(["reduce", "--spec", str(DATA_DIR / "shift_2x2.json")])
 
 
+def adjugate_at(ac, lam):
+    """adj(lam*I - B) by Horner on each entry of the coefficients B_0..B_{n-1}."""
+    n = ac.n
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for bk in ac.coeffs:
+        entries = [[lam * e + x for e, x in zip(erow, row)] for erow, row in zip(entries, bk.rows())]
+    return Matrix(entries)
+
+
 class TestAdjugateAt:
-    def test_degree_zero_polynomial(self, rng):
-        ac = adjugate_coeffs(Matrix([["5/2"]]))
-        assert adjugate_at(ac, 17) == identity(1)
-        assert adjugate_at(ac, 0) == identity(1)
-
-    def test_constant_term(self):
-        ac = adjugate_coeffs(Matrix([[1, 2], [3, 4]]))
-        assert adjugate_at(ac, 0) == Matrix([[-4, 2], [3, -1]])
-
-    def test_identity_shifted(self):
-        ac = adjugate_coeffs(identity(2))
-        assert adjugate_at(ac, 2) == identity(2)
-
     def test_defining_identity_at_random_points(self, rng):
         # (lam*I - B) * adj(lam*I - B) = charpoly(lam) * I
         for n in (1, 2, 3, 4):
             b = random_matrix(rng, n)
             ac = adjugate_coeffs(b)
+            minus_b = Matrix([-x for x in row] for row in b.rows())
             for _ in range(5):
                 lam = random_rational(rng)
-                left = (lam * identity(n) + (-1) * b) * adjugate_at(ac, lam)
-                assert left == ac.cp.evaluate(lam) * identity(n)
+                left = matmul(plus_identity(minus_b, lam), adjugate_at(ac, lam))
+                assert left == plus_identity(zero_matrix(n), ac.cp.evaluate(lam))
 
 
 class TestAdjugateMinorCorrespondence:

@@ -175,6 +175,25 @@ class TestCoefficientFunctional:
 
 
 class TestIntegerEnumeration:
+    def test_substitution_builds_no_matrix(self, rng, monkeypatch):
+        # delta_k_i (once per i of delta_vec) puts the column into the rows
+        # before its one clearing; it builds no substituted Matrix
+        calls = []
+        original = exactcore.column_substitute
+
+        def counting_substitute(m, i, v):
+            calls.append((m, i))
+            return original(m, i, v)
+
+        patch_everywhere(monkeypatch, original, counting_substitute)
+        assert exactcore.column_substitute is counting_substitute
+        for n in (1, 3, 5):
+            m = random_matrix(rng, n)
+            v = random_column(rng, n)
+            for k in range(1, n + 1):
+                delta_vec(m, k, v)
+        assert calls == []
+
     def test_enumeration_calls_public_det_only_for_the_full_matrix(self, rng, monkeypatch):
         # every minor below order n goes through the integer kernel on rows
         # cleared once per call, never through a Matrix handed to the public
