@@ -7,19 +7,26 @@ is the specification-by-enumeration that every polynomial-time route in the
 package is checked against.
 
 Each function clears denominators once per call (M = D*m, all entries
-ints, `exactcore.clear_denominators`), evaluates every minor of M with the
-integer kernel `exactcore.det_int`, sums the integer minors of one order k
-and scales the sum back once by D^k.  No `Matrix` or `Fraction` is built
-per minor.  The one order-n principal minor is the determinant, so
+ints, `exactcore.clear_denominators`), works on the integer principal
+submatrices of M and scales each order's result back once by a power of D.
+No `Matrix` or `Fraction` is built per minor.  ``delta_k`` and
+``delta_k_i`` evaluate every minor with the integer kernel
+`exactcore.det_int`; the one order-n principal minor is the determinant, so
 ``delta_k(m, n)`` is `exactcore.det`, which runs the same helper and kernel.
+
+``delta_k_i_coeffs(m, k)`` is the table of the n anchored linear
+functionals of order k, which the minor route of `reduction` uses, signed
+by (-1)^(k-1), as the rows of the adjugate coefficient B_{k-1};
+``delta_vec`` applies that table to a column.  The table takes one
+fraction-free Gauss-Jordan elimination per order-k principal subset, whose
+adjugate serves all k anchors of the subset at once (Bareiss 1968; Nakos,
+Turner & Williams 1997), with the cofactors of `det_int` for a singular
+subset.  So building all orders still costs 2^n - 1 eliminations.
+
 The enumeration shares only `clear_denominators` with the trace recurrence
 of `faddeev`; that helper is checked on its own (`det` against
 `det_cofactor`, and its own tests), so the enumeration stays an
 independent check of the recurrence.
-
-``delta_k_i_coeffs(m, k, i)`` is the linear functional that the minor
-route of `reduction` uses, signed by (-1)^(k-1), as row i of the adjugate
-coefficient B_{k-1}.
 
 Subsets are enumerated in lexicographic order; exact arithmetic makes the
 summation order irrelevant, fixing it just keeps debugging deterministic.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .exactcore import Matrix, as_column, clear_denominators, det, det_int
@@ -77,37 +85,107 @@ def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
     return Fraction(total, den**k)
 
 
-def delta_vec(m: Matrix, k: int, v: Sequence) -> tuple[Fraction, ...]:
-    """Column whose i-th component is delta_k_i(m, k, i, v)."""
-    return tuple(delta_k_i(m, k, i, v) for i in range(1, m.n + 1))
+def _adjugate_int(a: list[list[int]]) -> list[list[int]] | None:
+    """adj(a) of a nonsingular square integer matrix; None when a is singular.
+
+    Fraction-free Gauss-Jordan on [a | I]: at each step every row but the
+    pivot row becomes (pivot * row - row[p] * pivot_row) // previous pivot,
+    an exact division over the integers, and a zero pivot is swapped for a
+    later nonzero one.  The rows L that end up beside a then satisfy
+    L a = d I with d = det(P a) for the row permutation P, so L is
+    sign(P) * adj(a).  Each eliminated column is dropped once it is done,
+    so only the right-hand block is left at the end.
+    """
+    k = len(a)
+    rows = [[*row, *(int(r == c) for c in range(k))] for r, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for p in range(k):
+        if not rows[p][0]:
+            r = next((r for r in range(p + 1, k) if rows[r][0]), None)
+            if r is None:
+                return None
+            rows[p], rows[r] = rows[r], rows[p]
+            sign = -sign
+        pivot, *tail = rows[p]
+        rows = [
+            tail if i == p else [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for i, row in enumerate(rows)
+        ]
+        prev = pivot
+    return rows if sign == 1 else [[-x for x in row] for row in rows]
 
 
-def delta_k_i_coeffs(m: Matrix, k: int, i: int) -> tuple[Fraction, ...]:
-    """Coefficients of the linear functional v -> delta_k_i(m, k, i, v).
+def _cofactor_adjugate(a: list[list[int]]) -> list[list[int]]:
+    """adj(a) entry by entry: adj[q][p] = (-1)^(p+q) * det(a without row p, column q)."""
+    idx = range(len(a))
+    return [
+        [
+            (-1) ** (p + q) * det_int([[a[r][c] for c in idx if c != q] for r in idx if r != p])
+            for p in idx
+        ]
+        for q in idx
+    ]
+
+
+def _anchored_table(m: Matrix, k: int) -> tuple[int, list[list[int]]]:
+    """``(S, rows)``: row i-1 of rows / S is the order-k functional anchored at i.
+
+    One pass over the order-k principal subsets of M = D*m (k <= n).
+    Expanding the minor on subset T along its anchored column T[q] gives
+    the cofactors adj(M_T)[q][p] as the coefficients of v[T[p]], so the
+    adjugate of M_T serves all k anchors of T at once.  The cofactors have
+    order k-1, so S = D^(k-1).  A singular M_T, which the elimination
+    cannot finish, takes its cofactors from `det_int` one by one.
+    """
+    n = m.n
+    den, rows = clear_denominators(m.rows())
+    table = [[0] * n for _ in range(n)]
+    for subset in combinations(range(n), k):
+        sub = [[rows[r][c] for c in subset] for r in subset]
+        adj = _adjugate_int(sub)
+        if adj is None:
+            adj = _cofactor_adjugate(sub)
+        for anchor, cofactors in zip(subset, adj):
+            row = table[anchor]
+            for r, c in zip(subset, cofactors):
+                row[r] += c
+    return den ** (k - 1), table
+
+
+def delta_k_i_coeffs(m: Matrix, k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The n linear functionals v -> delta_k_i(m, k, i, v); row i-1 is anchor i.
 
     Expanding each anchored minor along the substituted column i leaves
     scalar cofactors of order k-1, so the substituted entries enter
-    linearly: delta_k_i(m, k, i, v) = sum_s coeffs[s-1] * v[s-1].  This is
-    what lets the same minors act on operator-valued columns.
+    linearly: delta_k_i(m, k, i, v) = sum_s coeffs[i-1][s-1] * v[s-1].
+    This is what lets the same minors act on operator-valued columns.
+    Beyond order n every functional is zero.
     """
     n = m.n
     if k < 1:
         raise ValueError("minor order must be >= 1")
-    if not 1 <= i <= n:
-        raise IndexError(f"column {i} out of range for dimension {n}")
-    anchor = i - 1
+    if k > n:
+        return ((Fraction(0),) * n,) * n
+    scale, table = _anchored_table(m, k)
+    return tuple(tuple(Fraction(c, scale) for c in row) for row in table)
+
+
+def delta_vec(m: Matrix, k: int, v: Sequence) -> tuple[Fraction, ...]:
+    """Column whose i-th component is delta_k_i(m, k, i, v).
+
+    Each component is one integer dot product of an anchored table row
+    with v cleared once, scaled back once.
+    """
+    n = m.n
+    if k < 1:
+        raise ValueError("minor order must be >= 1")
+    col = as_column(v)
+    if len(col) != n:
+        raise ValueError(f"substituted column has {len(col)} entries, expected {n}")
     if k > n:
         return (Fraction(0),) * n
-    den, rows = clear_denominators(m.rows())
-    coeffs = [0] * n
-    for subset in combinations(range(n), k):
-        if anchor not in subset:
-            continue
-        q = subset.index(anchor)
-        minor_cols = subset[:q] + subset[q + 1 :]
-        for p, r in enumerate(subset):
-            minor_rows = subset[:p] + subset[p + 1 :]
-            cof = det_int([[rows[rr][cc] for cc in minor_cols] for rr in minor_rows])
-            coeffs[r] += (-1) ** (p + q) * cof
-    scale = den ** (k - 1)
-    return tuple(Fraction(c, scale) for c in coeffs)
+    scale, table = _anchored_table(m, k)
+    den, (ints,) = clear_denominators([col])
+    scale *= den
+    return tuple(Fraction(sum(map(mul, row, ints)), scale) for row in table)

@@ -130,7 +130,7 @@ def _reduce(
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
     n = _check_system(b, phi)
-    rows = [[_signed(k, delta_k_i_coeffs(b, k, i)) for i in range(1, n + 1)] for k in range(1, n + 1)]
+    rows = [[_signed(k, r) for r in delta_k_i_coeffs(b, k)] for k in range(1, n + 1)]
     return _reduce(char_poly_minors(b), rows, phi, kind)
 
 
