@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cauchy import CauchyProblem, solve_cauchy, verify_total_reduction
 from .exactcore import Matrix, format_rational, mat_vec
-from .faddeev import adjugate_coeffs, cayley_hamilton_check, char_poly_minors
+from .faddeev import adjugate_coeffs, adjugate_coeffs_minors, cayley_hamilton_check
 from .operators import OperatorKind
 from .reduction import (
     SingularMatrixError,
@@ -298,15 +298,12 @@ def cmd_cramer(args, spec) -> int:
     return EXIT_OK if agreement else EXIT_IDENTITY
 
 
-def _random_matrix(rng: random.Random, n: int, bound: int = 9) -> Matrix:
-    return Matrix(
-        tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n))
-        for _ in range(n)
-    )
+def _random_column(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
 
 
-def _random_column(rng: random.Random, n: int, bound: int = 9) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n))
+def _random_matrix(rng: random.Random, n: int) -> Matrix:
+    return Matrix(_random_column(rng, n) for _ in range(n))
 
 
 def cmd_oracle(args) -> int:
@@ -332,10 +329,10 @@ def cmd_oracle(args) -> int:
         n = args.nmin + trial % span
         b = _random_matrix(rng, n)
         v = _random_column(rng, n)
-        ac = adjugate_coeffs(b)
-        record("lemma1", all(lemma1_check(b, k, v) for k in range(1, n + 1)))
-        record("lemma2", all(lemma2_check(b, ac, k, v) for k in range(0, n)))
-        reference = char_poly_minors(b).d
+        ac, mc = adjugate_coeffs(b), adjugate_coeffs_minors(b)
+        record("lemma1", all(lemma1_check(b, mc, k, v) for k in range(1, n + 1)))
+        record("lemma2", all(lemma2_check(ac, mc, k, v) for k in range(n)))
+        reference = mc.cp.d
         if args.inject_fault:
             reference = (-reference[0],) + reference[1:]
         record("char_poly_routes", ac.cp.d == reference)

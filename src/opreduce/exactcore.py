@@ -6,7 +6,7 @@ rationals; no floating point is accepted anywhere.  Scalars are
 (positive denominator, gcd 1, zero as 0/1).  Matrices are immutable and
 dense and square, with exact determinants.  `Matrix` has no arithmetic
 operators: products run on integer rows, cleared once by
-`clear_denominators`, through `matmul_int`.
+`clear_denominators`, through `matmul_int` and `mat_vec`.
 
 Row/column index arguments on the public surface are 1-based.
 """
@@ -117,11 +117,14 @@ def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
-    """Matrix times column vector."""
+    """Matrix times column vector: m and v are cleared once each, one integer dot product per row."""
     col = as_column(v)
     if len(col) != m.n:
         raise DimensionError(f"vector of length {len(col)} does not conform to {m.n}x{m.n}")
-    return tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for row in m.rows())
+    den, rows = clear_denominators(m.rows())
+    vden, (ints,) = clear_denominators([col])
+    scale = den * vden
+    return tuple(Fraction(sum(map(mul, row, ints)), scale) for row in rows)
 
 
 def det_cofactor(m: Matrix) -> Fraction:

@@ -7,16 +7,24 @@ runs over Python ints: denominators are cleared once (B = M/D), the
 recurrence works on the integer matrix M, where the division by k is exact,
 and the results are scaled back by D^k.  The division by k makes this route
 sensitive to the field characteristic, which is one reason the brute-force
-minor route stays available as an oracle (`char_poly_minors`).
+minor route stays available as an oracle.
+
+The oracle route builds the same `AdjugateCoeffs` from principal-minor
+sums of `minors` (Lemma 2 of the paper): d_k = (-1)^k delta_k(B)
+(`char_poly_minors`), and row i of B_{k-1} is (-1)^(k-1) times the
+order-k linear functional anchored at column i (`adjugate_coeffs_minors`).
+Lemma 1 of the paper, read through Lemma 2, is the recurrence
+B_k = B_{k-1} B + d_k I on those coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactcore import DimensionError, Matrix, as_rational, clear_denominators, identity, matmul_int
-from .minors import delta_k
+from .minors import delta_k, delta_k_i_coeffs
 
 
 class RecurrenceError(ArithmeticError):
@@ -71,6 +79,18 @@ def char_poly_minors(b: Matrix) -> CharPoly:
     """Oracle route: d_k = (-1)^k * (sum of order-k principal minors)."""
     n = b.n
     return CharPoly(n, tuple((-1) ** k * delta_k(b, k) for k in range(1, n + 1)))
+
+
+def _signed(k: int, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(-1)^(k-1) * row, by negation, which needs no gcd."""
+    return tuple(row) if k % 2 else tuple(-c for c in row)
+
+
+def adjugate_coeffs_minors(b: Matrix) -> AdjugateCoeffs:
+    """Oracle route: row i of B_{k-1} is (-1)^(k-1) times the order-k functional anchored at i."""
+    n = b.n
+    coeffs = tuple(Matrix(_signed(k, row) for row in delta_k_i_coeffs(b, k)) for k in range(1, n + 1))
+    return AdjugateCoeffs(n, coeffs, char_poly_minors(b))
 
 
 def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:

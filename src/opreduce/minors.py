@@ -15,13 +15,14 @@ No `Matrix` or `Fraction` is built per minor.  ``delta_k`` and
 ``delta_k(m, n)`` is `exactcore.det`, which runs the same helper and kernel.
 
 ``delta_k_i_coeffs(m, k)`` is the table of the n anchored linear
-functionals of order k, which the minor route of `reduction` uses, signed
-by (-1)^(k-1), as the rows of the adjugate coefficient B_{k-1};
-``delta_vec`` applies that table to a column.  The table takes one
-fraction-free Gauss-Jordan elimination per order-k principal subset, whose
-adjugate serves all k anchors of the subset at once (Bareiss 1968; Nakos,
-Turner & Williams 1997), with the cofactors of `det_int` for a singular
-subset.  So building all orders still costs 2^n - 1 eliminations.
+functionals of order k; `faddeev.adjugate_coeffs_minors` signs it by
+(-1)^(k-1) to get the adjugate coefficient B_{k-1} (Lemma 2 of the paper).
+``delta_vec`` is that table times a column, through `exactcore.mat_vec`.
+The table takes one fraction-free Gauss-Jordan elimination per order-k
+principal subset, whose adjugate serves all k anchors of the subset at once
+(Bareiss 1968; Nakos, Turner & Williams 1997), with the cofactors of
+`det_int` for a singular subset.  So building all orders still costs
+2^n - 1 eliminations.
 
 The enumeration shares only `clear_denominators` with the trace recurrence
 of `faddeev`; that helper is checked on its own (`det` against
@@ -36,10 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, clear_denominators, det, det_int
+from .exactcore import Matrix, as_column, clear_denominators, det, det_int, mat_vec
 
 
 def _principal_minor(rows: list[list[int]], subset: Sequence[int]) -> int:
@@ -172,20 +172,5 @@ def delta_k_i_coeffs(m: Matrix, k: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def delta_vec(m: Matrix, k: int, v: Sequence) -> tuple[Fraction, ...]:
-    """Column whose i-th component is delta_k_i(m, k, i, v).
-
-    Each component is one integer dot product of an anchored table row
-    with v cleared once, scaled back once.
-    """
-    n = m.n
-    if k < 1:
-        raise ValueError("minor order must be >= 1")
-    col = as_column(v)
-    if len(col) != n:
-        raise ValueError(f"substituted column has {len(col)} entries, expected {n}")
-    if k > n:
-        return (Fraction(0),) * n
-    scale, table = _anchored_table(m, k)
-    den, (ints,) = clear_denominators([col])
-    scale *= den
-    return tuple(Fraction(sum(map(mul, row, ints)), scale) for row in table)
+    """Column whose i-th component is delta_k_i(m, k, i, v): the order-k table times v."""
+    return mat_vec(Matrix(delta_k_i_coeffs(m, k)), v)

@@ -5,14 +5,14 @@ equation p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, where p is the
 characteristic polynomial of B and B_0..B_{n-1} are the coefficients of
 adj(lambda*I - B).  One skeleton builds the symbolic terms and evaluates
 them over the operator powers of phi; the two routes differ only in how
-they obtain p and the rows of B_{k-1}:
+they obtain the `AdjugateCoeffs` (p and B_0..B_{n-1}) that both hand to it:
 
-* the adjugate route takes both from the trace recurrence (polynomial
-  cost, the production path);
+* the adjugate route takes them from the trace recurrence
+  (`faddeev.adjugate_coeffs`, polynomial cost, the production path);
 * the minor route takes row i of B_{k-1} as (-1)^(k-1) times the linear
   functional of the order-k principal-minor sum anchored at column i, with
   the free column substituted there and expanded along column i, and p from
-  principal-minor sums.
+  principal-minor sums (`faddeev.adjugate_coeffs_minors`).
 
 The scalars come from two independent computations, so the two reductions
 must be equal, term by term and element by element; `ReducedSystem`
@@ -29,8 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactcore import Matrix, as_column, column_substitute, det, mat_vec
-from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, char_poly_minors
-from .minors import delta_k, delta_k_i_coeffs, delta_vec
+from .faddeev import AdjugateCoeffs, CharPoly, _signed, adjugate_coeffs, adjugate_coeffs_minors
 from .operators import (
     ElementColumn,
     HorizonError,
@@ -94,28 +93,21 @@ def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[Ele
     return powers
 
 
-def _signed(k: int, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """(-1)^(k-1) * row, by negation, which needs no gcd."""
-    return tuple(row) if k % 2 else tuple(-c for c in row)
+def _reduce(ac: AdjugateCoeffs, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
+    """p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, given p and B_0..B_{n-1}.
 
-
-def _reduce(
-    cp: CharPoly, rows: Sequence[Sequence[Sequence]], phi: ElementColumn, kind: OperatorKind
-) -> ReducedSystem:
-    """p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, given the rows.
-
-    ``rows[k-1][i-1]`` is row i of B_{k-1}, which equals (-1)^(k-1) times
-    the order-k anchored minor functional; each term records that unsigned
-    functional together with its sign.
+    Row i of B_{k-1} equals (-1)^(k-1) times the order-k anchored minor
+    functional; each term records that unsigned functional together with
+    its sign.
     """
-    n = cp.n
+    n = ac.n
     powers = _operator_powers(kind, phi, n)
     symbolic, scalar_rows = [], []
     for i in range(1, n + 1):
         terms, scalars = [], []
         for k in range(1, n + 1):
             sign = (-1) ** (k - 1)
-            row = rows[k - 1][i - 1]
+            row = ac.coeffs[k - 1].rows()[i - 1]
             terms.append(RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=_signed(k, row)))
             scalars.extend(row)
         symbolic.append(tuple(terms))
@@ -124,21 +116,19 @@ def _reduce(
     # n^2 entries of A^(n-1) phi, ..., A^0 phi, so each entry is cleared once
     elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
     evaluated = lincomb(scalar_rows, elements)
-    return ReducedSystem(cp=cp, rhs_symbolic=tuple(symbolic), rhs_evaluated=ElementColumn(evaluated))
+    return ReducedSystem(cp=ac.cp, rhs_symbolic=tuple(symbolic), rhs_evaluated=ElementColumn(evaluated))
 
 
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
-    n = _check_system(b, phi)
-    rows = [[_signed(k, r) for r in delta_k_i_coeffs(b, k)] for k in range(1, n + 1)]
-    return _reduce(char_poly_minors(b), rows, phi, kind)
+    _check_system(b, phi)
+    return _reduce(adjugate_coeffs_minors(b), phi, kind)
 
 
 def total_reduce_adjugate(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via the adjugate coefficient matrices (production route)."""
     _check_system(b, phi)
-    ac = adjugate_coeffs(b)
-    return _reduce(ac.cp, [m.rows() for m in ac.coeffs], phi, kind)
+    return _reduce(adjugate_coeffs(b), phi, kind)
 
 
 def cramer_solve(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
@@ -172,24 +162,24 @@ def cramer_via_zero_reduction(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
     return tuple(solution)
 
 
-def lemma1_check(b: Matrix, k: int, v: Sequence) -> bool:
-    """Exact identity: anchored sums of order k at B*v plus order k+1 at v equal delta_k(B)*v."""
-    col = as_column(v)
-    lhs1 = delta_vec(b, k, mat_vec(b, col))
-    lhs2 = delta_vec(b, k + 1, col) if k + 1 <= b.n else (Fraction(0),) * b.n
-    rhs_scale = delta_k(b, k)
-    return all(a + c == rhs_scale * x for a, c, x in zip(lhs1, lhs2, col))
+def lemma1_check(b: Matrix, mc: AdjugateCoeffs, k: int, v: Sequence) -> bool:
+    """Exact identity: B_k v = B_{k-1}(B v) + d_k v on the minor-route coefficients ``mc``.
 
-
-def lemma2_check(b: Matrix, ac: AdjugateCoeffs, k: int, v: Sequence) -> bool:
-    """Exact identity: B_k * v = (-1)^k * (order k+1 anchored minor sums of v).
-
-    ``ac`` holds the adjugate coefficients of b under test, so one
-    computation serves every k.
+    This is the paper's Lemma 1 multiplied by (-1)^k, with B_n = 0; it holds
+    trivially beyond order n.
     """
-    if not 0 <= k <= b.n - 1:
-        raise IndexError(f"adjugate coefficient index {k} out of range 0..{b.n - 1}")
+    n = b.n
+    if k > n:
+        return True
+    dk = mc.cp.coefficient(k)
     col = as_column(v)
-    lhs = mat_vec(ac.coeffs[k], col)
-    rhs = tuple((-1) ** k * c for c in delta_vec(b, k + 1, col))
-    return lhs == rhs
+    lhs = mat_vec(mc.coeffs[k], col) if k < n else (Fraction(0),) * n
+    rhs = mat_vec(mc.coeffs[k - 1], mat_vec(b, col))
+    return lhs == tuple(x + dk * c for x, c in zip(rhs, col))
+
+
+def lemma2_check(ac: AdjugateCoeffs, mc: AdjugateCoeffs, k: int, v: Sequence) -> bool:
+    """Exact identity: B_k v from the trace recurrence ``ac`` equals B_k v from the minors ``mc``."""
+    if not 0 <= k <= ac.n - 1:
+        raise IndexError(f"adjugate coefficient index {k} out of range 0..{ac.n - 1}")
+    return mat_vec(ac.coeffs[k], v) == mat_vec(mc.coeffs[k], v)

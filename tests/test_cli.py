@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from conftest import DATA_DIR, patch_everywhere
-from opreduce import cli, exactcore
+from opreduce import cli, exactcore, faddeev, minors
 from opreduce.cauchy import manufacture_solution
 from opreduce.cli import main
 from opreduce.exactcore import Matrix, format_rational
@@ -397,6 +397,27 @@ class TestOracle:
         report = json.loads(out)
         assert report["all_passed"] is False
         assert report["checks"]["char_poly_routes"]["fail"] > 0
+
+    def test_each_route_is_built_once_per_trial(self, capsys, monkeypatch):
+        # per trial: one adjugate_coeffs, one anchored table per order (for
+        # adjugate_coeffs_minors) and one delta_k per order (for char_poly_minors)
+        calls = {"table": [], "delta_k": [], "adjugate": []}
+
+        def counting(name, original):
+            def counted(m, *rest):
+                calls[name].append((m.n, *rest))
+                return original(m, *rest)
+
+            patch_everywhere(monkeypatch, original, counted)
+
+        counting("table", minors._anchored_table)
+        counting("delta_k", minors.delta_k)
+        counting("adjugate", faddeev.adjugate_coeffs)
+        rc, _, _ = run_cli(capsys, ["oracle", "--nmin", "1", "--nmax", "4", "--trials", "8"])
+        assert rc == 0
+        sizes = [1, 2, 3, 4] * 2
+        assert calls["table"] == calls["delta_k"] == [(n, k) for n in sizes for k in range(1, n + 1)]
+        assert calls["adjugate"] == [(n,) for n in sizes]
 
     def test_cap_and_range_validation(self, capsys):
         rc, _, err = run_cli(capsys, ["oracle", "--nmax", "13"])

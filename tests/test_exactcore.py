@@ -24,6 +24,11 @@ from opreduce.exactcore import clear_denominators, det_int, matmul_int
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
 
 
+def fraction_mat_vec(m, v):
+    """Reference product over Fraction, one dot product per row."""
+    return tuple(sum((a * Fraction(b) for a, b in zip(row, v)), Fraction(0)) for row in m.rows())
+
+
 class TestRationalLiterals:
     def test_parse_plain_and_fraction(self):
         assert parse_rational("5") == Fraction(5)
@@ -66,6 +71,26 @@ class TestMatrixBasics:
         assert mat_vec(identity(3), v) == v
         with pytest.raises(DimensionError):
             mat_vec(identity(3), (1, 2))
+
+    @given(data=st.data(), n=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_mat_vec_matches_fraction_dot_products(self, data, n):
+        entries = st.one_of(st.just(Fraction(0)), rationals)
+        m = Matrix(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+        v = data.draw(st.lists(entries, min_size=n, max_size=n))
+        assert mat_vec(m, v) == fraction_mat_vec(m, v)
+
+    def test_mat_vec_on_large_coprime_denominators(self):
+        m = Matrix(
+            [[Fraction((-1) ** (r + c) * (r - c), p) for c, p in enumerate(LARGE_PRIMES[r : r + 4])] for r in range(4)]
+        )
+        v = (Fraction(-3, LARGE_PRIMES[8]), Fraction(0), Fraction(5, LARGE_PRIMES[4]), Fraction(-1, LARGE_PRIMES[5]))
+        result = mat_vec(m, v)
+        assert result == fraction_mat_vec(m, v)
+        assert all(type(x) is Fraction for x in result)
+        for bad in (v[:3], (*v, Fraction(1))):
+            with pytest.raises(DimensionError):
+                mat_vec(m, bad)
 
 
 class TestColumnSubstitute:

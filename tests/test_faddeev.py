@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR,
@@ -21,6 +24,7 @@ from opreduce.faddeev import (
     AdjugateCoeffs,
     CharPoly,
     adjugate_coeffs,
+    adjugate_coeffs_minors,
     cayley_hamilton_check,
     char_poly,
     char_poly_minors,
@@ -222,3 +226,35 @@ class TestAdjugateMinorCorrespondence:
                     lhs = mat_vec(ac.coeffs[k], v)
                     rhs = tuple((-1) ** k * c for c in delta_vec(b, k + 1, v))
                     assert lhs == rhs
+
+
+# zeros dominate, so that singular principal subsets and row swaps occur
+sparse_int_matrices = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.one_of(st.just(0), st.just(0), st.integers(-3, 3)), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+)
+LARGE_PRIME_ROWS = [[Fraction(r - 2 * c + 1, p) for c, p in enumerate(LARGE_PRIMES[r : r + 4])] for r in range(4)]
+
+
+class TestAdjugateCoeffsMinors:
+    # Lemma 2: the enumeration gives the coefficients of the trace recurrence
+    @given(rows=sparse_int_matrices)
+    @example(rows=LARGE_PRIME_ROWS)
+    @example(rows=zero_matrix(3).rows())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_trace_recurrence(self, rows):
+        b = Matrix(rows)
+        mc = adjugate_coeffs_minors(b)
+        assert mc == adjugate_coeffs(b)
+        assert cayley_hamilton_check(b, mc)
+
+    def test_permutation_matrices(self):
+        for n in (2, 3, 4):
+            for perm in permutations(range(n)):
+                b = Matrix([[int(perm[r] == c) for c in range(n)] for r in range(n)])
+                mc = adjugate_coeffs_minors(b)
+                assert mc == adjugate_coeffs(b)
+                assert cayley_hamilton_check(b, mc)

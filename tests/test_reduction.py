@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     DATA_DIR,
+    LARGE_PRIMES,
     random_matrix,
     random_nonsingular_matrix,
     random_polynomial_column,
@@ -14,7 +15,7 @@ from conftest import (
 from opreduce import reduction
 from opreduce.cauchy import manufacture_solution, verify_total_reduction
 from opreduce.exactcore import Matrix, identity, mat_vec, parse_rational
-from opreduce.faddeev import adjugate_coeffs
+from opreduce.faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors
 from opreduce.minors import delta_k_i
 from opreduce.operators import (
     ElementColumn,
@@ -268,16 +269,16 @@ class TestLemmaChecks:
         for n in range(1, 6):
             b = random_matrix(rng, n)
             v = [random_rational(rng) for _ in range(n)]
-            assert all(lemma1_check(b, k, v) for k in range(1, n + 1))
-            ac = adjugate_coeffs(b)
-            assert all(lemma2_check(b, ac, k, v) for k in range(0, n))
+            ac, mc = adjugate_coeffs(b), adjugate_coeffs_minors(b)
+            assert all(lemma1_check(b, mc, k, v) for k in range(1, n + 1))
+            assert all(lemma2_check(ac, mc, k, v) for k in range(0, n))
 
     def test_identity_case_both_sides(self):
         from opreduce.minors import delta_k, delta_vec
 
         b = identity(2)
         v = (Fraction(1), Fraction(2))
-        assert lemma1_check(b, 1, v)
+        assert lemma1_check(b, adjugate_coeffs_minors(b), 1, v)
         lhs = tuple(
             a + c for a, c in zip(delta_vec(b, 1, mat_vec(b, v)), delta_vec(b, 2, v))
         )
@@ -287,10 +288,51 @@ class TestLemmaChecks:
     def test_boundary_uses_vanishing_convention(self, rng):
         b = random_matrix(rng, 3)
         v = [random_rational(rng) for _ in range(3)]
-        assert lemma1_check(b, 3, v)
-        assert lemma1_check(b, 5, v)
+        mc = adjugate_coeffs_minors(b)
+        assert lemma1_check(b, mc, 3, v)
+        assert lemma1_check(b, mc, 5, v)
 
     def test_lemma2_range_checked(self, rng):
         b = random_matrix(rng, 2)
         with pytest.raises(IndexError):
-            lemma2_check(b, adjugate_coeffs(b), 2, [1, 2])
+            lemma2_check(adjugate_coeffs(b), adjugate_coeffs_minors(b), 2, [1, 2])
+
+    @staticmethod
+    def perturbation_cases(rng):
+        """(b, v) with every entry of v and of B v nonzero, so a perturbation shows."""
+        large = Matrix([[Fraction(1 + r * c, p) for c, p in enumerate(LARGE_PRIMES[r : r + 3])] for r in range(3)])
+        for b in [*(random_nonsingular_matrix(rng, n) for n in range(1, 6)), large]:
+            while True:
+                v = [random_rational(rng) for _ in range(b.n)]
+                if all(v) and all(mat_vec(b, v)):
+                    yield b, v
+                    break
+
+    def test_perturbed_coefficient_is_caught(self, rng):
+        # 1/7 more in entry (r, c) of B_j changes B_j v and B_j (B v) in row r,
+        # which Lemma 1 reads at k = j and k = j + 1, and Lemma 2 at k = j
+        for b, v in self.perturbation_cases(rng):
+            n = b.n
+            ac, mc = adjugate_coeffs(b), adjugate_coeffs_minors(b)
+            for j in range(n):
+                for r, c in {(0, 0), (n - 1, 0), (0, n - 1)}:
+                    rows = [list(row) for row in mc.coeffs[j].rows()]
+                    rows[r][c] += Fraction(1, 7)
+                    bad = AdjugateCoeffs(n, (*mc.coeffs[:j], Matrix(rows), *mc.coeffs[j + 1 :]), mc.cp)
+                    for k in range(1, n + 1):
+                        assert lemma1_check(b, bad, k, v) is (k not in (j, j + 1))
+                    for k in range(n):
+                        assert lemma2_check(ac, bad, k, v) is (k != j)
+
+    def test_perturbed_char_poly_coefficient_is_caught(self, rng):
+        # d_k enters Lemma 1 at order k only; Lemma 2 compares the B_k alone
+        for b, v in self.perturbation_cases(rng):
+            n = b.n
+            ac, mc = adjugate_coeffs(b), adjugate_coeffs_minors(b)
+            for j in range(1, n + 1):
+                d = list(mc.cp.d)
+                d[j - 1] += Fraction(1, 7)
+                bad = AdjugateCoeffs(n, mc.coeffs, CharPoly(n, tuple(d)))
+                for k in range(1, n + 1):
+                    assert lemma1_check(b, bad, k, v) is (k != j)
+                assert all(lemma2_check(ac, bad, k, v) for k in range(n))
