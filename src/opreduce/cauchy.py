@@ -4,8 +4,8 @@ For the shift instantiation the system is a linear difference system, so it
 can be iterated directly; the iterated trajectory is the independent oracle
 against which the reduced scalar equations and the derived initial
 conditions are checked.  Verification of a candidate solution compares
-residual elements to zero on the maximal window where every term is defined
-and reports that window explicitly.
+residual elements to zero on the maximal window where every term is defined;
+a sequence residual carries that window as its origin and horizon.
 """
 
 from __future__ import annotations
@@ -61,23 +61,13 @@ class CauchyProblem:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    """Residual of one reduced scalar equation, with its comparison window."""
-
-    variable: int
-    residual: OperatorElement
-    window: tuple[int, int] | None
-    is_zero: bool
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     reduced: ReducedSystem
     route_agreement: bool
-    residuals: tuple[ResidualReport, ...]
+    residuals: tuple[OperatorElement, ...]
 
     def all_zero(self) -> bool:
-        return self.route_agreement and all(r.is_zero for r in self.residuals)
+        return self.route_agreement and all(r.is_zero() for r in self.residuals)
 
 
 def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> ElementColumn:
@@ -165,12 +155,6 @@ def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> Ele
     return ElementColumn(lincomb(scalar_rows, (*apply_vector(kind, x), *x)))
 
 
-def _window(e: OperatorElement) -> tuple[int, int] | None:
-    if isinstance(e, FiniteSequence):
-        return (e.origin, e.horizon)
-    return None
-
-
 def verify_total_reduction(
     b: Matrix, x: ElementColumn, phi: ElementColumn, kind: OperatorKind
 ) -> VerificationReport:
@@ -187,22 +171,10 @@ def verify_total_reduction(
         raise ValueError("candidate and free columns must share a variant")
     reduced = total_reduce_adjugate(b, phi, kind)
     agreement = reduced == total_reduce_minors(b, phi, kind)
-    residuals = []
-    for idx in range(n):
-        res = eval_scalar_equation(reduced.cp, kind, x[idx], reduced.rhs_evaluated[idx])
-        residuals.append(
-            ResidualReport(
-                variable=idx + 1,
-                residual=res,
-                window=_window(res),
-                is_zero=res.is_zero(),
-            )
-        )
-    return VerificationReport(
-        reduced=reduced,
-        route_agreement=agreement,
-        residuals=tuple(residuals),
+    residuals = tuple(
+        eval_scalar_equation(reduced.cp, kind, xi, psi) for xi, psi in zip(x, reduced.rhs_evaluated)
     )
+    return VerificationReport(reduced=reduced, route_agreement=agreement, residuals=residuals)
 
 
 def solve_cauchy(problem: CauchyProblem) -> tuple[ElementColumn, VerificationReport, tuple[tuple[Fraction, ...], ...]]:

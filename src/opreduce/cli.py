@@ -264,7 +264,7 @@ def cmd_solve(args, spec) -> int:
             {"variable": i + 1, **{k: v for k, v in element_to_json(trajectories[i]).items() if k != "kind"}}
             for i in range(spec.n)
         ],
-        "verification": [residual_to_json(r) for r in verification.residuals],
+        "verification": [residual_to_json(i, r) for i, r in enumerate(verification.residuals, start=1)],
         "derived_conditions": derived_blocks,
         "route_agreement": verification.route_agreement,
         "all_zero": verification.all_zero(),
@@ -282,7 +282,7 @@ def cmd_cramer(args, spec) -> int:
     for idx, element in enumerate(spec.phi):
         if element.degree() > 0:
             raise SpecError(f"spec field phi[{idx}]: cramer needs constant entries")
-        constants.append(element.coeffs[0] if element.coeffs else Fraction(0))
+        constants.append(element.evaluate(0))
     solution = cramer_solve(spec.matrix, constants)
     pipeline = cramer_via_zero_reduction(spec.matrix, constants)
     residual = tuple(a + c for a, c in zip(mat_vec(spec.matrix, solution), constants))
@@ -363,7 +363,7 @@ def cmd_verify(args, spec) -> int:
         "operator": spec.operator.value,
         "lhs": _operator_poly_text(report.reduced.cp),
         "char_poly": _rational_strings(report.reduced.cp.d),
-        "residuals": [residual_to_json(r) for r in report.residuals],
+        "residuals": [residual_to_json(i, r) for i, r in enumerate(report.residuals, start=1)],
         "route_agreement": report.route_agreement,
         "all_zero": report.all_zero(),
     }

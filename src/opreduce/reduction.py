@@ -3,9 +3,9 @@
 Given A(x) = B x + phi, every variable satisfies the n-th order scalar
 equation p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, where p is the
 characteristic polynomial of B and B_0..B_{n-1} are the coefficients of
-adj(lambda*I - B).  One skeleton builds the symbolic terms and evaluates
-them over the operator powers of phi; the two routes differ only in how
-they obtain the `AdjugateCoeffs` (p and B_0..B_{n-1}) that both hand to it:
+adj(lambda*I - B).  A `ReducedSystem` is those coefficients (`AdjugateCoeffs`)
+plus the right-hand sides evaluated over the operator powers of phi; the two
+routes differ only in how they obtain the `AdjugateCoeffs`:
 
 * the adjugate route takes them from the trace recurrence
   (`faddeev.adjugate_coeffs`, polynomial cost, the production path);
@@ -15,11 +15,11 @@ they obtain the `AdjugateCoeffs` (p and B_0..B_{n-1}) that both hand to it:
   principal-minor sums (`faddeev.adjugate_coeffs_minors`).
 
 The scalars come from two independent computations, so the two reductions
-must be equal, term by term and element by element; `ReducedSystem`
-equality is that check, and the package treats any disagreement as a bug,
-never as noise.  Taking the zero operator collapses the machinery to
-Cramer's rule, which is exposed directly as `cramer_solve` and
-cross-checkable through the pipeline via `cramer_via_zero_reduction`.
+must be equal, coefficient by coefficient and element by element;
+`ReducedSystem` equality is that check, and the package treats any
+disagreement as a bug, never as noise.  Taking the zero operator collapses
+the machinery to Cramer's rule, which is exposed directly as `cramer_solve`
+and cross-checkable through the pipeline via `cramer_via_zero_reduction`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactcore import Matrix, as_column, column_substitute, det, mat_vec
-from .faddeev import AdjugateCoeffs, CharPoly, _signed, adjugate_coeffs, adjugate_coeffs_minors
+from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors
 from .operators import (
     ElementColumn,
     HorizonError,
@@ -45,33 +45,20 @@ class SingularMatrixError(ValueError):
 
 
 @dataclass(frozen=True)
-class RhsTerm:
-    """One summand of a reduced right-hand side.
-
-    The term contributes sign * sum_s coeffs[s-1] * A^power(phi_s) to the
-    equation of the anchored variable; coeffs are the (unsigned) linear
-    functional of the anchored minor sum of the given order.
-    """
-
-    variable: int
-    order: int
-    sign: int
-    power: int
-    coeffs: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ReducedSystem:
-    """Characteristic polynomial plus per-variable right-hand sides.
+    """The adjugate coefficients a reduction was built from, plus its evaluated right-hand sides.
 
     Two reductions compare equal exactly when they agree on the polynomial,
-    on every symbolic term and on every evaluated element, which is the
+    on every coefficient matrix and on every evaluated element, which is the
     route-agreement predicate.
     """
 
-    cp: CharPoly
-    rhs_symbolic: tuple[tuple[RhsTerm, ...], ...]
+    ac: AdjugateCoeffs
     rhs_evaluated: ElementColumn
+
+    @property
+    def cp(self) -> CharPoly:
+        return self.ac.cp
 
 
 def _check_system(b: Matrix, phi: ElementColumn) -> int:
@@ -94,29 +81,14 @@ def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[Ele
 
 
 def _reduce(ac: AdjugateCoeffs, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
-    """p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, given p and B_0..B_{n-1}.
-
-    Row i of B_{k-1} equals (-1)^(k-1) times the order-k anchored minor
-    functional; each term records that unsigned functional together with
-    its sign.
-    """
+    """p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, given p and B_0..B_{n-1}."""
     n = ac.n
     powers = _operator_powers(kind, phi, n)
-    symbolic, scalar_rows = [], []
-    for i in range(1, n + 1):
-        terms, scalars = [], []
-        for k in range(1, n + 1):
-            sign = (-1) ** (k - 1)
-            row = ac.coeffs[k - 1].rows()[i - 1]
-            terms.append(RhsTerm(variable=i, order=k, sign=sign, power=n - k, coeffs=_signed(k, row)))
-            scalars.extend(row)
-        symbolic.append(tuple(terms))
-        scalar_rows.append(scalars)
     # every right-hand side in one combination: n rows of scalars over the
     # n^2 entries of A^(n-1) phi, ..., A^0 phi, so each entry is cleared once
+    scalar_rows = [[c for coeff in ac.coeffs for c in coeff.rows()[i]] for i in range(n)]
     elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
-    evaluated = lincomb(scalar_rows, elements)
-    return ReducedSystem(cp=ac.cp, rhs_symbolic=tuple(symbolic), rhs_evaluated=ElementColumn(evaluated))
+    return ReducedSystem(ac, ElementColumn(lincomb(scalar_rows, elements)))
 
 
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
@@ -155,11 +127,7 @@ def cramer_via_zero_reduction(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
     dn = reduced.cp.coefficient(b.n)
     if dn == 0:
         raise SingularMatrixError("system matrix is singular (determinant zero)")
-    solution = []
-    for element in reduced.rhs_evaluated:
-        constant = element.coeffs[0] if element.coeffs else Fraction(0)
-        solution.append(constant / dn)
-    return tuple(solution)
+    return tuple(element.evaluate(0) / dn for element in reduced.rhs_evaluated)
 
 
 def lemma1_check(b: Matrix, mc: AdjugateCoeffs, k: int, v: Sequence) -> bool:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import Matrix, format_rational, parse_rational
+from .faddeev import _signed
 from .operators import ElementColumn, FiniteSequence, OperatorElement, OperatorKind, Polynomial
 
 
@@ -187,35 +188,39 @@ def element_to_json(e: OperatorElement) -> dict:
     return {"kind": "polynomial", "coeffs": [format_rational(c) for c in e.coeffs]}
 
 
-def term_to_json(term) -> dict:
+def term_to_json(n: int, k: int, row) -> dict:
+    """Term k of a right-hand side: (-1)^(k-1) times ``row`` applied to A^(n-k) phi."""
     return {
-        "order": term.order,
-        "sign": term.sign,
-        "power": term.power,
-        "coeffs": [format_rational(c) for c in term.coeffs],
+        "order": k,
+        "sign": (-1) ** (k - 1),
+        "power": n - k,
+        "coeffs": [format_rational(c) for c in _signed(k, row)],
     }
 
 
 def reduced_to_json(reduced) -> dict:
+    ac = reduced.ac
     return {
-        "char_poly": [format_rational(d) for d in reduced.cp.d],
+        "char_poly": [format_rational(d) for d in ac.cp.d],
         "rhs": [
             {
                 "variable": i + 1,
-                "terms": [term_to_json(t) for t in reduced.rhs_symbolic[i]],
+                "terms": [
+                    term_to_json(ac.n, k, coeff.rows()[i]) for k, coeff in enumerate(ac.coeffs, start=1)
+                ],
                 "evaluated": element_to_json(reduced.rhs_evaluated[i]),
             }
-            for i in range(reduced.cp.n)
+            for i in range(ac.n)
         ],
     }
 
 
-def residual_to_json(report) -> dict:
+def residual_to_json(variable: int, residual: OperatorElement) -> dict:
     payload = {
-        "variable": report.variable,
-        "is_zero": report.is_zero,
-        "residual": element_to_json(report.residual),
+        "variable": variable,
+        "is_zero": residual.is_zero(),
+        "residual": element_to_json(residual),
     }
-    if report.window is not None:
-        payload["window"] = {"origin": report.window[0], "length": report.window[1]}
+    if isinstance(residual, FiniteSequence):
+        payload["window"] = {"origin": residual.origin, "length": residual.horizon}
     return payload

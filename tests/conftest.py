@@ -1,12 +1,26 @@
 import random
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opreduce.exactcore import Matrix, det
+from opreduce.exactcore import Matrix, det, parse_rational
 from opreduce.operators import ElementColumn, FiniteSequence, Polynomial
+from opreduce.specio import reduced_to_json
+
+# hypothesis imports its patch writer (which imports libcst, where installed) only
+# when reporting a failed property; under -W error libcst's deprecated
+# mypy_extensions.TypedDict import would then end the whole session
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -67,6 +81,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def plus_identity(m: Matrix, c) -> Matrix:
     """m + c*I over Fraction."""
     return Matrix([x + c if r == col else x for col, x in enumerate(row)] for r, row in enumerate(m.rows()))
+
+
+def serialized_terms(reduced) -> list[list[tuple]]:
+    """(order, sign, power, coeffs) of every reported term, per variable, coeffs parsed back."""
+    return [
+        [(t["order"], t["sign"], t["power"], tuple(map(parse_rational, t["coeffs"]))) for t in block["terms"]]
+        for block in reduced_to_json(reduced)["rhs"]
+    ]
 
 
 def patch_everywhere(monkeypatch, original, replacement) -> None:

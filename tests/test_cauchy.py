@@ -32,8 +32,10 @@ from opreduce.operators import (
     OperatorKind,
     Polynomial,
     apply_vector,
+    eval_scalar_equation,
     lincomb,
 )
+from opreduce.specio import residual_to_json
 
 SHIFT = OperatorKind.SHIFT
 DERIV = OperatorKind.DERIVATIVE
@@ -277,7 +279,14 @@ class TestVerifyTotalReduction:
         report = verify_total_reduction(b, x, phi, SHIFT)
         assert report.route_agreement
         assert report.all_zero()
-        assert [r.variable for r in report.residuals] == [1, 2, 3]
+        # residual i belongs to variable i: check it on a candidate that is not a solution
+        other = random_sequence_column(rng, 3, horizon=9)
+        report = verify_total_reduction(b, other, phi, SHIFT)
+        reduced = report.reduced
+        assert report.residuals == tuple(
+            eval_scalar_equation(reduced.cp, SHIFT, other[i], reduced.rhs_evaluated[i]) for i in range(3)
+        )
+        assert len(set(report.residuals)) == 3
 
     def test_single_perturbation_is_caught_anywhere(self, rng):
         n = 2
@@ -301,7 +310,9 @@ class TestVerifyTotalReduction:
         report = verify_total_reduction(b, x, phi, SHIFT)
         # A(x) - 2x - 0 = 0 for the geometric sequence
         assert report.all_zero()
-        assert report.residuals[0].window == (0, 3)
+        (residual,) = report.residuals
+        assert (residual.origin, residual.horizon) == (0, 3)
+        assert residual_to_json(1, residual)["window"] == {"origin": 0, "length": 3}
 
     def test_variant_mismatch_rejected(self, rng):
         b = random_matrix(rng, 2)
@@ -322,8 +333,10 @@ class TestSolveCauchy:
             assert trajectories[0].horizon == n + 6
             assert verification.all_zero()
             # residuals comparable exactly on [t0, t0 + horizon - n]
-            for residual in verification.residuals:
-                assert residual.window == (2, problem.horizon - n + 1)
+            length = problem.horizon - n + 1
+            for i, residual in enumerate(verification.residuals, start=1):
+                assert (residual.origin, residual.horizon) == (2, length)
+                assert residual_to_json(i, residual)["window"] == {"origin": 2, "length": length}
             for i in range(1, n + 1):
                 for j in range(1, n):
                     assert derived[i - 1][j - 1] == trajectories[i - 1].value_at(2 + j)

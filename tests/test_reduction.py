@@ -1,7 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR,
@@ -11,12 +14,14 @@ from conftest import (
     random_polynomial_column,
     random_rational,
     random_sequence_column,
+    serialized_terms,
 )
 from opreduce import reduction
 from opreduce.cauchy import manufacture_solution, verify_total_reduction
 from opreduce.exactcore import Matrix, identity, mat_vec, parse_rational
 from opreduce.faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors
 from opreduce.minors import delta_k_i
+from opreduce.specio import reduced_to_json
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
@@ -68,13 +73,11 @@ class TestTwoByTwoExpansion:
             phi = random_sequence_column(rng, 2, horizon=5)
             reduced = total_reduce_minors(b, phi, SHIFT)
 
-            t11, t12 = reduced.rhs_symbolic[0]
-            assert (t11.order, t11.sign, t11.power, t11.coeffs) == (1, 1, 1, (1, 0))
-            assert (t12.order, t12.sign, t12.power, t12.coeffs) == (2, -1, 0, (b22, -b12))
-
-            t21, t22 = reduced.rhs_symbolic[1]
-            assert (t21.order, t21.sign, t21.power, t21.coeffs) == (1, 1, 1, (0, 1))
-            assert (t22.order, t22.sign, t22.power, t22.coeffs) == (2, -1, 0, (-b21, b11))
+            (t11, t12), (t21, t22) = serialized_terms(reduced)
+            assert t11 == (1, 1, 1, (1, 0))
+            assert t12 == (2, -1, 0, (b22, -b12))
+            assert t21 == (1, 1, 1, (0, 1))
+            assert t22 == (2, -1, 0, (-b21, b11))
 
             phi1, phi2 = phi.entries
             expected1 = apply(SHIFT, phi1) + (-b22) * phi1 + b12 * phi2
@@ -99,8 +102,7 @@ class TestFirstOrderIsIdentity:
             reduced = route(b, phi, DERIV)
             assert reduced.cp.d == (Fraction(-5, 3),)
             assert reduced.rhs_evaluated[0] == phi[0]
-            (term,) = reduced.rhs_symbolic[0]
-            assert (term.order, term.sign, term.power, term.coeffs) == (1, 1, 0, (1,))
+            assert serialized_terms(reduced) == [[(1, 1, 0, (1,))]]
 
 
 class TestThreeByThreeFixture:
@@ -163,7 +165,7 @@ class TestRouteEquality:
                 lhs = total_reduce_adjugate(b, phi, kind)
                 rhs = total_reduce_minors(b, phi, kind)
                 assert lhs.cp == rhs.cp
-                assert lhs.rhs_symbolic == rhs.rhs_symbolic
+                assert lhs.ac == rhs.ac
                 assert lhs.rhs_evaluated == rhs.rhs_evaluated
                 assert lhs == rhs
 
@@ -171,12 +173,49 @@ class TestRouteEquality:
         b = random_matrix(rng, 4)
         phi = random_polynomial_column(rng, 4)
         reduced = total_reduce_adjugate(b, phi, DERIV)
-        for i, terms in enumerate(reduced.rhs_symbolic, start=1):
+        blocks = reduced_to_json(reduced)["rhs"]
+        assert [block["variable"] for block in blocks] == [1, 2, 3, 4]
+        for block in blocks:
+            terms = block["terms"]
             assert len(terms) == 4
-            assert [t.sign for t in terms] == [1, -1, 1, -1]
-            assert [t.order for t in terms] == [1, 2, 3, 4]
-            assert [t.power for t in terms] == [3, 2, 1, 0]
-            assert all(t.variable == i for t in terms)
+            assert [t["sign"] for t in terms] == [1, -1, 1, -1]
+            assert [t["order"] for t in terms] == [1, 2, 3, 4]
+            assert [t["power"] for t in terms] == [3, 2, 1, 0]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_serialized_terms_are_signed_adjugate_rows(self, data):
+        # term k of variable i reports (-1)^(k-1) times row i of B_{k-1}, applied to A^(n-k) phi
+        kind = data.draw(st.sampled_from([SHIFT, DERIV, ZERO]), label="kind")
+        n = data.draw(st.integers(1, 4), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = random.Random(seed)
+        reduced = total_reduce_adjugate(random_matrix(rng, n), phi_column(kind, rng, n), kind)
+        for i, terms in enumerate(serialized_terms(reduced)):
+            assert [order for order, *_ in terms] == list(range(1, n + 1))
+            for order, sign, power, coeffs in terms:
+                assert tuple(sign * c for c in coeffs) == reduced.ac.coeffs[order - 1].rows()[i]
+                assert power == n - order
+
+    @pytest.mark.parametrize("kind", [SHIFT, DERIV, ZERO])
+    def test_agreement_sees_coefficients_the_evaluation_hides(self, rng, kind):
+        # with phi_j = 0, column j of every B_k multiplies only zero elements, so a
+        # perturbation there leaves the evaluated column alone; equality must still fail
+        n, j, k = 3, 1, 1
+        b = random_matrix(rng, n)
+        entries = list(phi_column(kind, rng, n))
+        entries[j] = 0 * entries[j]
+        phi = ElementColumn(entries)
+        assert phi[j].is_zero()
+        reduced = total_reduce_adjugate(b, phi, kind)
+        ac = reduced.ac
+        rows = [list(row) for row in ac.coeffs[k].rows()]
+        rows[0][j] += 1
+        coeffs = ac.coeffs[:k] + (Matrix(rows),) + ac.coeffs[k + 1 :]
+        perturbed = reduction._reduce(AdjugateCoeffs(n, coeffs, ac.cp), phi, kind)
+        assert perturbed.rhs_evaluated == reduced.rhs_evaluated
+        assert perturbed != reduced
+        assert reduced_to_json(perturbed) != reduced_to_json(reduced)
 
 
 class TestOperatorPowers:
