@@ -608,6 +608,7 @@ GOLDEN_CASES = {
     "reduce-zero-text": ["reduce", "--spec", "zero_3x3.json"],
     "solve-shift-json": ["solve", "--spec", "shift_2x2_x.json", "--format", "json"],
     "solve-shift-text": ["solve", "--spec", "shift_2x2_x.json"],
+    "solve-long-shift-json": ["solve", "--spec", "shift_3x3_long.json", "--format", "json"],
     "solve-derivative-rejected": ["solve", "--spec", "derivative_3x3_x.json"],
     "verify-shift-json": ["verify", "--spec", "shift_2x2_x.json", "--format", "json"],
     "verify-shift-text": ["verify", "--spec", "shift_2x2_x.json"],
@@ -615,6 +616,7 @@ GOLDEN_CASES = {
     "verify-derivative-text": ["verify", "--spec", "derivative_3x3_x.json"],
     "verify-zero-nonzero-json": ["verify", "--spec", "zero_3x3.json", "--format", "json"],
     "verify-zero-nonzero-text": ["verify", "--spec", "zero_3x3.json"],
+    "verify-long-shift-nonzero-json": ["verify", "--spec", "shift_3x3_long.json", "--format", "json"],
     "cramer-zero-json": ["cramer", "--spec", "zero_3x3.json", "--format", "json"],
     "cramer-zero-text": ["cramer", "--spec", "zero_3x3.json"],
     "cramer-shift-rejected": ["cramer", "--spec", "shift_2x2_x.json"],
