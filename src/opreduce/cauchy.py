@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .exactcore import Matrix, as_column, clear_denominators, matmul_int
@@ -75,7 +75,9 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
 
     Returns the n trajectories as sequences over t0 .. t0 + steps.  With
     B = M/D, phi(t) = P/Q and the state x(t) = X/S (X ints, S > 0), one step
-    is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').
+    is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').  Each
+    trajectory is born with its integer form over L, the lcm of the S(t):
+    value t is X(t) (L / S(t)) over L.
     """
     n = b.n
     if phi.variant != "sequence":
@@ -103,9 +105,14 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
             x = [a // g for a in x]
             scale //= g
         states.append((x, scale))
-    return ElementColumn(
-        FiniteSequence(t0, tuple(Fraction(nums[i], s) for nums, s in states)) for i in range(n)
-    )
+    common = lcm(*(s for _, s in states))
+    factors = [common // s for _, s in states]
+    trajectories = []
+    for i in range(n):
+        trajectory = FiniteSequence(t0, tuple(Fraction(nums[i], s) for nums, s in states))
+        trajectory._form = (common, [nums[i] * f for (nums, _), f in zip(states, factors)])
+        trajectories.append(trajectory)
+    return ElementColumn(trajectories)
 
 
 def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple[Fraction, ...], ...]:
@@ -125,7 +132,7 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
     start = as_column(x0)
     if len(start) != n:
         raise ValueError(f"initial column has {len(start)} entries, expected {n}")
-    if phi.entries[0].horizon <= n - 1:
+    if phi.entries[0].horizon < n - 1:
         raise HorizonError(f"free column horizon {phi.entries[0].horizon} too short for power {n - 1}")
     den, m = clear_denominators(b.rows())
     phi_at_t0 = ([entry.values[k] for entry in phi.entries] for k in range(n - 1))

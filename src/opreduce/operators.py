@@ -11,12 +11,20 @@ horizon for the verification window they want.  Every combination of
 elements goes through `lincomb`: sequences with the same origin combine on
 the largest window where all are defined, polynomials on the longest
 coefficient list.
+
+Besides its `Fraction` values, every element carries them in one integer
+form ``(D, ints)``, ``Fraction(ints[t], D) == values[t]``, which `lincomb`
+reads in place of clearing the values again.  The form is cleared at most
+once per element: on first use, or never when the producer of the element
+already has it (a shift, a derivative, a `lincomb` output, an iterated
+trajectory), so the shifted copies of one sequence share one clearing.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -49,6 +57,17 @@ class _Element:
 
     __slots__ = ()
 
+    def int_form(self) -> tuple[int, list[int]]:
+        """``(D, ints)`` with ``Fraction(ints[t], D)`` equal to value (or coefficient) t.
+
+        Cleared by one `clear_denominators` call on first use, unless the
+        element was born with its form.
+        """
+        if self._form is None:
+            den, (ints,) = clear_denominators([self.values if isinstance(self, FiniteSequence) else self.coeffs])
+            self._form = (den, ints)
+        return self._form
+
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -71,13 +90,14 @@ class _Element:
 class Polynomial(_Element):
     """Rational-coefficient polynomial, ascending degree, trailing zeros stripped."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_form")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._form = None
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -87,7 +107,10 @@ class Polynomial(_Element):
         return not self.coeffs
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        den, ints = self.int_form()
+        result = Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        result._form = (den, [k * c for k, c in enumerate(ints) if k >= 1])
+        return result
 
     def evaluate(self, t) -> Fraction:
         point = as_rational(t)
@@ -109,14 +132,19 @@ class Polynomial(_Element):
 class FiniteSequence(_Element):
     """Finite window of a rational sequence: values e(t0), ..., e(t0 + H - 1)."""
 
-    __slots__ = ("origin", "values")
+    __slots__ = ("origin", "values", "_form")
 
     def __init__(self, origin: int, values: Iterable):
+        if isinstance(origin, bool):
+            raise TypeError("bool is not a sequence origin")
+        if not isinstance(origin, int):
+            raise TypeError(f"not an integer origin: {origin!r}")
         vals = as_column(values)
         if not vals:
             raise HorizonError("sequence needs horizon >= 1")
-        self.origin = int(origin)
+        self.origin = origin
         self.values: tuple[Fraction, ...] = vals
+        self._form = None
 
     @property
     def horizon(self) -> int:
@@ -135,7 +163,10 @@ class FiniteSequence(_Element):
         """New window with value e(t+1) at each t; horizon shrinks by one."""
         if self.horizon < 2:
             raise HorizonError("cannot shift a horizon-1 sequence")
-        return FiniteSequence(self.origin, self.values[1:])
+        den, ints = self.int_form()
+        result = FiniteSequence(self.origin, self.values[1:])
+        result._form = (den, ints[1:])
+        return result
 
     def __eq__(self, other) -> bool:
         return (
@@ -234,10 +265,12 @@ def lincomb(
     Every row of scalars is as long as ``elements`` and gives one element:
     sequences (one origin) are summed value by value on the shortest window,
     polynomials coefficient by coefficient up to the longest coefficient
-    list.  All rows are brought to one denominator and the element values to
-    another, once per call, so each output value is one integer dot product,
-    made a `Fraction` once.  An element whose scalar is zero in every row is
-    skipped.
+    list.  All rows are brought to one denominator, once per call, and the
+    elements' integer forms to their common denominator L by folding each
+    factor L // D into the scalars, so each output value is one integer dot
+    product, made a `Fraction` once.  Each output carries its form, reduced
+    by the gcd of its denominator and values.  An element whose scalar is
+    zero in every row is skipped.
     """
     if not elements:
         raise ValueError("lincomb needs at least one element")
@@ -250,26 +283,38 @@ def lincomb(
         not isinstance(e, type(first)) for e in elements
     ):
         raise TypeError("lincomb needs elements of one variant")
-    if isinstance(first, FiniteSequence):
+    is_sequence = isinstance(first, FiniteSequence)
+    if is_sequence:
         if any(e.origin != first.origin for e in elements):
             raise HeterogeneousColumnError("cannot combine sequences with different origins")
-        values = [e.values for e in elements]
-        width = min(len(row) for row in values)
+        width = min(e.horizon for e in elements)
     else:
-        values = [e.coeffs for e in elements]
-        width = max(len(row) for row in values)
+        width = max(len(e.coeffs) for e in elements)
     coeff_rows = [as_column(row) for row in scalar_rows]
     live = [j for j, column in enumerate(zip(*coeff_rows)) if any(column)]
     q_den, q_ints = clear_denominators([[row[j] for j in live] for row in coeff_rows])
-    v_den, v_ints = clear_denominators([values[j][:width] for j in live])
+    forms = [elements[j].int_form() for j in live]
+    v_den = lcm(*(d for d, _ in forms))
+    factors = [v_den // d for d, _ in forms]
     den = q_den * v_den
     # one transpose serves every row; with no live element there are no
     # columns, and each result is zero on the same width
-    columns = list(zip(*(row + [0] * (width - len(row)) for row in v_ints)))
-    sums = [[Fraction(sum(map(mul, q, col)), den) for col in columns] or [0] * width for q in q_ints]
-    if isinstance(first, FiniteSequence):
-        return tuple(FiniteSequence(first.origin, row) for row in sums)
-    return tuple(Polynomial(row) for row in sums)
+    columns = list(zip(*(ints[:width] + [0] * (width - len(ints)) for _, ints in forms)))
+    results = []
+    for q in q_ints:
+        q = list(map(mul, q, factors))
+        row = [sum(map(mul, q, col)) for col in columns] or [0] * width
+        if not is_sequence:
+            while row and not row[-1]:
+                row.pop()
+        g = gcd(den, *row)
+        d = den // g
+        row = [a // g for a in row]
+        values = [Fraction(a, d) for a in row]
+        element = FiniteSequence(first.origin, values) if is_sequence else Polynomial(values)
+        element._form = (d, row)
+        results.append(element)
+    return tuple(results)
 
 
 def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: OperatorElement) -> OperatorElement:

@@ -23,7 +23,7 @@ from opreduce.cauchy import (
     solve_cauchy,
     verify_total_reduction,
 )
-from opreduce.exactcore import Matrix, identity, mat_vec
+from opreduce.exactcore import Matrix, clear_denominators, identity, mat_vec
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
@@ -180,6 +180,14 @@ class TestDerivedInitialConditions:
         with pytest.raises(HorizonError):
             derived_initial_conditions(b, ElementColumn([FiniteSequence(0, [1])] * 3), x0)
 
+    def test_horizon_n_minus_1_is_enough(self, rng):
+        # power j reads phi(t0 + k) for k < j <= n - 1 only
+        b = Matrix([[1, 2], [3, 4]])
+        phi = ElementColumn([FiniteSequence(0, [5]), FiniteSequence(0, [7])])
+        assert derived_initial_conditions(b, phi, (1, 1)) == ((8,), (14,))
+        with pytest.raises(HorizonError):
+            derived_initial_conditions(random_matrix(rng, 4), random_sequence_column(rng, 4, 2), random_column(rng, 4))
+
     def test_rejects_columns_of_the_wrong_length(self, rng):
         # the products would otherwise stop at the shorter input and return a truncated answer
         for n in (1, 2, 4):
@@ -205,7 +213,7 @@ class TestDerivedInitialConditions:
         else:
             b = Matrix(data.draw(st.lists(column, min_size=n, max_size=n), label="B"))
         x0 = tuple(data.draw(column, label="x0"))
-        horizon = data.draw(st.integers(n, n + 2), label="horizon")
+        horizon = data.draw(st.integers(max(n - 1, 1), n + 2), label="horizon")
         values = st.lists(scalars, min_size=horizon, max_size=horizon)
         phi = ElementColumn(FiniteSequence(0, data.draw(values, label="phi values")) for _ in range(n))
         assert derived_initial_conditions(b, phi, x0) == explicit_formula(b, phi, x0)
@@ -313,6 +321,24 @@ class TestVerifyTotalReduction:
         (residual,) = report.residuals
         assert (residual.origin, residual.horizon) == (0, 3)
         assert residual_to_json(1, residual)["window"] == {"origin": 0, "length": 3}
+
+    def test_trajectory_is_cleared_once_not_once_per_shifted_copy(self, rng, monkeypatch):
+        # matrix rows have length n and scalar rows n^2 or n + 2: a longer row holds element values
+        n = 3
+        b = random_matrix(rng, n)
+        phi = random_sequence_column(rng, n, horizon=40)
+        x = iterate_difference(b, phi, random_column(rng, n), 40)
+        value_rows = []
+
+        def recording_clear(rows):
+            value_rows.extend(len(row) for row in rows if len(row) > n * n)
+            return clear_denominators(rows)
+
+        patch_everywhere(monkeypatch, clear_denominators, recording_clear)
+        report = verify_total_reduction(b, x, phi, SHIFT)
+        assert report.all_zero()
+        # at most one clearing per phi entry; the trajectories and their shifts were born cleared
+        assert len(value_rows) <= n
 
     def test_variant_mismatch_rejected(self, rng):
         b = random_matrix(rng, 2)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from conftest import (
     random_polynomial_column,
     random_sequence_column,
 )
+from opreduce.cauchy import iterate_difference
+from opreduce.exactcore import Matrix, format_rational
 from opreduce.faddeev import CharPoly
 from opreduce.operators import (
     ElementColumn,
@@ -61,6 +64,11 @@ class TestElements:
             s.value_at(6)
         with pytest.raises(HorizonError):
             FiniteSequence(0, [])
+
+    @pytest.mark.parametrize("origin", [1.5, "3", True])
+    def test_sequence_origin_must_be_an_int(self, origin):
+        with pytest.raises(TypeError):
+            FiniteSequence(origin, [1])
 
     def test_sequence_addition_truncates_to_common_window(self):
         a = FiniteSequence(0, [1, 2, 3, 4])
@@ -331,6 +339,66 @@ class TestLincomb:
             assert seq.values == fold_sequences(row, value_lists)
             assert seq.origin == origin
             assert all(type(v) is Fraction for v in (*poly.coeffs, *seq.values))
+
+    @given(
+        value_lists=st.lists(
+            st.lists(st.one_of(values_st, large_st), min_size=1, max_size=6), min_size=1, max_size=4
+        ),
+        lower=st.lists(values_st, max_size=5),
+        data=st.data(),
+        origin=st.integers(-3, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_producer_carries_its_values_in_its_int_form(self, value_lists, lower, data, origin):
+        def check(e, reduced=False):
+            den, ints = e.int_form()
+            values = e.values if isinstance(e, FiniteSequence) else e.coeffs
+            assert type(den) is int and den > 0 and len(ints) == len(values)
+            assert all(Fraction(a, den) == v for a, v in zip(ints, values))
+            # a combination divides out gcd(D, *ints), so a zero result has D = 1
+            assert not reduced or gcd(den, *ints) == 1
+
+        def check_chain(e, reduced=False):
+            # every operator power down to horizon 1 or the zero polynomial
+            check(e, reduced)
+            while e.horizon > 1 if isinstance(e, FiniteSequence) else not e.is_zero():
+                e = e.shift() if isinstance(e, FiniteSequence) else e.derivative()
+                check(e)
+
+        m = len(value_lists)
+        seqs = [FiniteSequence(origin, [format_rational(v) for v in values]) for values in value_lists]
+        polys = [Polynomial(format_rational(v) for v in values) for values in value_lists]
+        rows = data.draw(
+            st.lists(
+                st.lists(st.one_of(st.just(Fraction(0)), scalars_st, large_st), min_size=m, max_size=m),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        rows.append([Fraction(0)] * m)
+        # same leading coefficient as polys[0], so their difference strips trailing zeros
+        top = value_lists[0][-1]
+        twin = Polynomial((lower + [0] * len(value_lists[0]))[: len(value_lists[0]) - 1] + [top])
+        n = data.draw(st.integers(1, 3))
+        scalar = st.one_of(values_st, large_st)
+        column = st.lists(scalar, min_size=n, max_size=n)
+        phi = ElementColumn(
+            FiniteSequence(origin, data.draw(st.lists(scalar, min_size=5, max_size=5))) for _ in range(n)
+        )
+        b = Matrix(data.draw(st.lists(column, min_size=n, max_size=n)))
+        trajectories = iterate_difference(b, phi, data.draw(column), 5)
+        for e in (*seqs, *polys, *trajectories):
+            check_chain(e)
+        for e in (*seqs, *polys, *trajectories):
+            check_chain(0 * e, reduced=True)
+        for e in (
+            *lincomb(rows, seqs),
+            *lincomb(rows, polys),
+            *lincomb([[1, -1]], [polys[0], twin]),
+            *lincomb([[1, -1]], [seqs[0], seqs[0]]),
+            *lincomb([[2, "1/7919"]], [trajectories[0], trajectories[-1]]),
+        ):
+            check_chain(e, reduced=True)
 
     def test_row_validation(self):
         with pytest.raises(ValueError):
