@@ -23,6 +23,7 @@ from .operators import (
     HorizonError,
     OperatorKind,
     OperatorElement,
+    _born,
     apply_vector,
     eval_scalar_equation,
     lincomb,
@@ -74,10 +75,11 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     """Iterate x(t+1) = B x(t) + phi(t) exactly from x(t0) = x0.
 
     Returns the n trajectories as sequences over t0 .. t0 + steps.  With
-    B = M/D, phi(t) = P/Q and the state x(t) = X/S (X ints, S > 0), one step
-    is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').  Each
-    trajectory is born with its integer form over L, the lcm of the S(t):
-    value t is X(t) (L / S(t)) over L.
+    B = M/D, phi(t) = P(t)/Q (Q the lcm of the denominators of phi's integer
+    forms, read once per call) and the state x(t) = X/S (X ints, S > 0), one
+    step is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').
+    Each trajectory is born with its integer form over L, the lcm of the
+    S(t): value t is X(t) (L / S(t)) over L.
     """
     n = b.n
     if phi.variant != "sequence":
@@ -94,9 +96,11 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     t0 = phi.entries[0].origin
     den, m = clear_denominators(b.rows())
     scale, (x,) = clear_denominators([start])
+    forms = [entry.int_form() for entry in phi.entries]
+    q = lcm(*(d for d, _ in forms))
+    windows = [[a * (q // d) for a in ints[:steps]] for d, ints in forms]
     states = [(x, scale)]
-    for step in range(steps):
-        q, (p,) = clear_denominators([[entry.values[step] for entry in phi.entries]])
+    for p in zip(*windows):
         ds = den * scale
         x = [q * sum(map(mul, row, x)) + ds * c for row, c in zip(m, p)]
         scale = ds * q
@@ -109,9 +113,9 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     factors = [common // s for _, s in states]
     trajectories = []
     for i in range(n):
-        trajectory = FiniteSequence(t0, tuple(Fraction(nums[i], s) for nums, s in states))
-        trajectory._form = (common, [nums[i] * f for (nums, _), f in zip(states, factors)])
-        trajectories.append(trajectory)
+        values = tuple(Fraction(nums[i], s) for nums, s in states)
+        form = (common, [nums[i] * f for (nums, _), f in zip(states, factors)])
+        trajectories.append(_born(FiniteSequence, values, form, t0))
     return ElementColumn(trajectories)
 
 
@@ -167,9 +171,9 @@ def verify_total_reduction(
 ) -> VerificationReport:
     """Check that each component of x satisfies its reduced scalar equation.
 
-    Runs both reduction routes, records whether they agree exactly, and
-    evaluates the per-variable residuals against the adjugate-route
-    right-hand side.
+    Runs both reduction routes, records whether their coefficients agree
+    exactly, and evaluates the per-variable residuals against the
+    adjugate-route right-hand side, the only one evaluated.
     """
     n = b.n
     if len(x) != n:

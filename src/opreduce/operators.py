@@ -12,12 +12,13 @@ elements goes through `lincomb`: sequences with the same origin combine on
 the largest window where all are defined, polynomials on the longest
 coefficient list.
 
-Besides its `Fraction` values, every element carries them in one integer
-form ``(D, ints)``, ``Fraction(ints[t], D) == values[t]``, which `lincomb`
-reads in place of clearing the values again.  The form is cleared at most
-once per element: on first use, or never when the producer of the element
-already has it (a shift, a derivative, a `lincomb` output, an iterated
-trajectory), so the shifted copies of one sequence share one clearing.
+Every element is born whole: beside its `Fraction` values it holds them in
+one integer form ``(D, ints)``, ``Fraction(ints[t], D) == values[t]``, which
+`lincomb` reads in place of clearing the values again.  The public
+constructors coerce and check their input and clear it once; a producer that
+already has both (a shift, a derivative, a `lincomb` output, an iterated
+trajectory) hands them to `_born`, which trusts them, so nothing is coerced
+or cleared twice and the shifted copies of one sequence share one clearing.
 """
 
 from __future__ import annotations
@@ -58,14 +59,7 @@ class _Element:
     __slots__ = ()
 
     def int_form(self) -> tuple[int, list[int]]:
-        """``(D, ints)`` with ``Fraction(ints[t], D)`` equal to value (or coefficient) t.
-
-        Cleared by one `clear_denominators` call on first use, unless the
-        element was born with its form.
-        """
-        if self._form is None:
-            den, (ints,) = clear_denominators([self.values if isinstance(self, FiniteSequence) else self.coeffs])
-            self._form = (den, ints)
+        """``(D, ints)`` with ``Fraction(ints[t], D)`` equal to value (or coefficient) t, fixed at birth."""
         return self._form
 
     def __add__(self, other):
@@ -96,8 +90,12 @@ class Polynomial(_Element):
         cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._form = None
+        den, (ints,) = clear_denominators([cs])
+        self._fill(tuple(cs), (den, ints))
+
+    def _fill(self, coeffs: tuple[Fraction, ...], form: tuple[int, list[int]], origin=None) -> None:
+        self.coeffs = coeffs
+        self._form = form
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -107,10 +105,10 @@ class Polynomial(_Element):
         return not self.coeffs
 
     def derivative(self) -> "Polynomial":
-        den, ints = self.int_form()
-        result = Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-        result._form = (den, [k * c for k, c in enumerate(ints) if k >= 1])
-        return result
+        # k c_k keeps the leading coefficient nonzero, so there is nothing to strip
+        den, ints = self._form
+        ints = [k * c for k, c in enumerate(ints) if k >= 1]
+        return _born(Polynomial, tuple(Fraction(a, den) for a in ints), (den, ints))
 
     def evaluate(self, t) -> Fraction:
         point = as_rational(t)
@@ -142,9 +140,13 @@ class FiniteSequence(_Element):
         vals = as_column(values)
         if not vals:
             raise HorizonError("sequence needs horizon >= 1")
+        den, (ints,) = clear_denominators([vals])
+        self._fill(vals, (den, ints), origin)
+
+    def _fill(self, values: tuple[Fraction, ...], form: tuple[int, list[int]], origin: int) -> None:
         self.origin = origin
-        self.values: tuple[Fraction, ...] = vals
-        self._form = None
+        self.values = values
+        self._form = form
 
     @property
     def horizon(self) -> int:
@@ -163,10 +165,8 @@ class FiniteSequence(_Element):
         """New window with value e(t+1) at each t; horizon shrinks by one."""
         if self.horizon < 2:
             raise HorizonError("cannot shift a horizon-1 sequence")
-        den, ints = self.int_form()
-        result = FiniteSequence(self.origin, self.values[1:])
-        result._form = (den, ints[1:])
-        return result
+        den, ints = self._form
+        return _born(FiniteSequence, self.values[1:], (den, ints[1:]), self.origin)
 
     def __eq__(self, other) -> bool:
         return (
@@ -184,6 +184,13 @@ class FiniteSequence(_Element):
 
 
 OperatorElement = Union[Polynomial, FiniteSequence]
+
+
+def _born(cls, values: tuple[Fraction, ...], form: tuple[int, list[int]], origin=None) -> OperatorElement:
+    """An element of ``cls`` (with a sequence's ``origin``) holding ``values`` and their form, both trusted."""
+    element = object.__new__(cls)
+    element._fill(values, form, origin)
+    return element
 
 
 class ElementColumn:
@@ -310,10 +317,8 @@ def lincomb(
         g = gcd(den, *row)
         d = den // g
         row = [a // g for a in row]
-        values = [Fraction(a, d) for a in row]
-        element = FiniteSequence(first.origin, values) if is_sequence else Polynomial(values)
-        element._form = (d, row)
-        results.append(element)
+        values = tuple(Fraction(a, d) for a in row)
+        results.append(_born(type(first), values, (d, row), first.origin if is_sequence else None))
     return tuple(results)
 
 

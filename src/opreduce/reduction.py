@@ -4,8 +4,9 @@ Given A(x) = B x + phi, every variable satisfies the n-th order scalar
 equation p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, where p is the
 characteristic polynomial of B and B_0..B_{n-1} are the coefficients of
 adj(lambda*I - B).  A `ReducedSystem` is those coefficients (`AdjugateCoeffs`)
-plus the right-hand sides evaluated over the operator powers of phi; the two
-routes differ only in how they obtain the `AdjugateCoeffs`:
+together with phi and the operator; its right-hand sides, a function of
+them, are evaluated over the operator powers of phi once, when first read.
+The two routes differ only in how they obtain the `AdjugateCoeffs`:
 
 * the adjugate route takes them from the trace recurrence
   (`faddeev.adjugate_coeffs`, polynomial cost, the production path);
@@ -15,16 +16,18 @@ routes differ only in how they obtain the `AdjugateCoeffs`:
   principal-minor sums (`faddeev.adjugate_coeffs_minors`).
 
 The scalars come from two independent computations, so the two reductions
-must be equal, coefficient by coefficient and element by element;
-`ReducedSystem` equality is that check, and the package treats any
-disagreement as a bug, never as noise.  Taking the zero operator collapses
-the machinery to Cramer's rule, which is exposed directly as `cramer_solve`
-and cross-checkable through the pipeline via `cramer_via_zero_reduction`.
+must be equal, coefficient by coefficient; `ReducedSystem` equality is that
+check, so the cross-check route evaluates no right-hand side, and the
+package treats any disagreement as a bug, never as noise.  Taking the zero
+operator collapses the machinery to Cramer's rule, which is exposed
+directly as `cramer_solve` and cross-checkable through the pipeline via
+`cramer_via_zero_reduction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,22 +49,35 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The adjugate coefficients a reduction was built from, plus its evaluated right-hand sides.
+    """The adjugate coefficients of B, the free column phi and the operator of a reduction.
 
-    Two reductions compare equal exactly when they agree on the polynomial,
-    on every coefficient matrix and on every evaluated element, which is the
-    route-agreement predicate.
+    Two reductions of one system compare equal exactly when they agree on
+    the polynomial and on every coefficient matrix, which is the
+    route-agreement predicate: the right-hand sides are a function of the
+    fields.
     """
 
     ac: AdjugateCoeffs
-    rhs_evaluated: ElementColumn
+    phi: ElementColumn
+    kind: OperatorKind
 
     @property
     def cp(self) -> CharPoly:
         return self.ac.cp
 
+    @cached_property
+    def rhs_evaluated(self) -> ElementColumn:
+        """sum_k (row i of B_{k-1}) . A^(n-k) phi for every i, evaluated on first read."""
+        n = self.ac.n
+        powers = _operator_powers(self.kind, self.phi, n)
+        # every right-hand side in one combination: n rows of scalars over the
+        # n^2 entries of A^(n-1) phi, ..., A^0 phi, so each entry is cleared once
+        scalar_rows = [[c for coeff in self.ac.coeffs for c in coeff.rows()[i]] for i in range(n)]
+        elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
+        return ElementColumn(lincomb(scalar_rows, elements))
 
-def _check_system(b: Matrix, phi: ElementColumn) -> int:
+
+def _check_system(b: Matrix, phi: ElementColumn) -> None:
     n = b.n
     if len(phi) != n:
         raise ValueError(f"free column has {len(phi)} entries, expected {n}")
@@ -69,7 +85,6 @@ def _check_system(b: Matrix, phi: ElementColumn) -> int:
         horizon = phi.entries[0].horizon
         if horizon <= n:
             raise HorizonError(f"reduction of an order-{n} system needs horizon > {n}, got {horizon}")
-    return n
 
 
 def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[ElementColumn]:
@@ -80,27 +95,16 @@ def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[Ele
     return powers
 
 
-def _reduce(ac: AdjugateCoeffs, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
-    """p(A) x_i = sum_k (row i of B_{k-1}) . A^(n-k) phi, given p and B_0..B_{n-1}."""
-    n = ac.n
-    powers = _operator_powers(kind, phi, n)
-    # every right-hand side in one combination: n rows of scalars over the
-    # n^2 entries of A^(n-1) phi, ..., A^0 phi, so each entry is cleared once
-    scalar_rows = [[c for coeff in ac.coeffs for c in coeff.rows()[i]] for i in range(n)]
-    elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
-    return ReducedSystem(ac, ElementColumn(lincomb(scalar_rows, elements)))
-
-
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
     _check_system(b, phi)
-    return _reduce(adjugate_coeffs_minors(b), phi, kind)
+    return ReducedSystem(adjugate_coeffs_minors(b), phi, kind)
 
 
 def total_reduce_adjugate(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via the adjugate coefficient matrices (production route)."""
     _check_system(b, phi)
-    return _reduce(adjugate_coeffs(b), phi, kind)
+    return ReducedSystem(adjugate_coeffs(b), phi, kind)
 
 
 def cramer_solve(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:

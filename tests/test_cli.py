@@ -14,7 +14,7 @@ from opreduce import cli, exactcore, faddeev, minors
 from opreduce.cauchy import manufacture_solution
 from opreduce.cli import main
 from opreduce.exactcore import Matrix, format_rational
-from opreduce.operators import ElementColumn, FiniteSequence, OperatorKind
+from opreduce.operators import ElementColumn, FiniteSequence, OperatorKind, apply_vector, lincomb
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -475,6 +475,54 @@ class TestVerify:
         rc, _, err = run_cli(capsys, ["verify", "--spec", str(DATA_DIR / "shift_2x2.json")])
         assert rc == 2
         assert "x" in err
+
+
+class TestCrossCheck:
+    SPEC = str(DATA_DIR / "shift_2x2_x.json")
+
+    @pytest.mark.parametrize("command", ["reduce", "verify", "solve"])
+    def test_cross_check_builds_no_right_hand_side(self, capsys, monkeypatch, command):
+        # one reduction's worth of evaluation: the minor route is compared by its coefficients
+        n = 2
+        calls = {"lincomb": 0, "apply_vector": 0}
+
+        def counting(original):
+            def counted(*args):
+                calls[original.__name__] += 1
+                return original(*args)
+
+            return counted
+
+        for original in (lincomb, apply_vector):
+            patch_everywhere(monkeypatch, original, counting(original))
+        rc, _, _ = run_cli(capsys, [command, "--spec", self.SPEC, "--format", "json"])
+        assert rc == 0
+        residual_combinations = 0 if command == "reduce" else n
+        assert calls == {"lincomb": 1 + residual_combinations, "apply_vector": n - 1}
+
+    @pytest.mark.parametrize("command", ["reduce", "verify", "solve"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_route_disagreement_reaches_the_cli(self, capsys, monkeypatch, command, fmt):
+        original = faddeev.adjugate_coeffs_minors
+
+        def perturbed(b):
+            ac = original(b)
+            rows = [list(row) for row in ac.coeffs[1].rows()]
+            rows[0][0] += 1
+            return faddeev.AdjugateCoeffs(ac.n, (ac.coeffs[0], Matrix(rows), *ac.coeffs[2:]), ac.cp)
+
+        patch_everywhere(monkeypatch, original, perturbed)
+        rc, out, _ = run_cli(capsys, [command, "--spec", self.SPEC, "--format", fmt])
+        assert rc == 4
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["route_agreement"] is False
+            if command != "reduce":
+                assert report["all_zero"] is False
+        else:
+            assert "route agreement: false" in out
+            if command != "reduce":
+                assert "all residuals zero: false" in out
 
 
 class TestSpecParsing:
