@@ -1,9 +1,10 @@
 """Initial-value propagation and end-to-end verification of reductions.
 
 For the shift instantiation the system is a linear difference system, so it
-can be iterated directly; the iterated trajectory is the independent oracle
-against which the reduced scalar equations and the derived initial
-conditions are checked.  Verification of a candidate solution compares
+can be iterated directly from x(t0) = x0, t0 being the origin of the free
+column phi; the iterated trajectory is the independent oracle against which
+the reduced scalar equations and the derived initial conditions are checked
+(`solve_cauchy`).  Verification of a candidate solution compares
 residual elements to zero on the maximal window where every term is defined;
 a sequence residual carries that window as its origin and horizon.
 """
@@ -29,36 +30,6 @@ from .operators import (
     lincomb,
 )
 from .reduction import ReducedSystem, total_reduce_adjugate, total_reduce_minors
-
-
-@dataclass(frozen=True)
-class CauchyProblem:
-    """A shift-kind system with initial data and an iteration horizon.
-
-    The trajectory covers t0 .. t0 + horizon; residuals of the reduced
-    scalar equations are then comparable on t0 .. t0 + horizon - n.
-    """
-
-    b: Matrix
-    phi: ElementColumn
-    t0: int
-    x0: tuple[Fraction, ...]
-    horizon: int
-
-    def __post_init__(self):
-        n = self.b.n
-        if len(self.x0) != n:
-            raise ValueError(f"initial column has {len(self.x0)} entries, expected {n}")
-        if self.horizon < n + 1:
-            raise ValueError(f"horizon must be >= n + 1 = {n + 1}, got {self.horizon}")
-        if self.phi.variant != "sequence":
-            raise ValueError("initial-value problems act on sequence columns")
-        if self.phi.entries[0].origin != self.t0:
-            raise ValueError("free column origin must match t0")
-        if self.phi.entries[0].horizon < self.horizon:
-            raise HorizonError(
-                f"free column horizon {self.phi.entries[0].horizon} < iteration horizon {self.horizon}"
-            )
 
 
 @dataclass(frozen=True)
@@ -188,13 +159,19 @@ def verify_total_reduction(
     return VerificationReport(reduced=reduced, route_agreement=agreement, residuals=residuals)
 
 
-def solve_cauchy(problem: CauchyProblem) -> tuple[ElementColumn, VerificationReport, tuple[tuple[Fraction, ...], ...]]:
-    """Trajectories, reduction verification, and derived initial conditions.
+def solve_cauchy(
+    b: Matrix, phi: ElementColumn, x0, horizon: int
+) -> tuple[ElementColumn, VerificationReport, tuple[tuple[Fraction, ...], ...]]:
+    """Trajectories from x(t0) = x0, reduction verification, and derived initial conditions.
 
+    t0 is phi's origin, and the trajectories cover t0 .. t0 + horizon.
     Returns (trajectories, verification, derived) where derived[i-1][j-1]
-    is the initial value of the j-th operator power of variable i.
+    is the initial value of the j-th operator power of variable i.  The
+    residuals of the reduced scalar equations are comparable on
+    t0 .. t0 + horizon - n, so the horizon must exceed n.
     """
-    trajectories = iterate_difference(problem.b, problem.phi, problem.x0, problem.horizon)
-    verification = verify_total_reduction(problem.b, trajectories, problem.phi, OperatorKind.SHIFT)
-    derived = derived_initial_conditions(problem.b, problem.phi, problem.x0)
-    return trajectories, verification, derived
+    if horizon < b.n + 1:
+        raise ValueError(f"horizon must be >= n + 1 = {b.n + 1}, got {horizon}")
+    trajectories = iterate_difference(b, phi, x0, horizon)
+    verification = verify_total_reduction(b, trajectories, phi, OperatorKind.SHIFT)
+    return trajectories, verification, derived_initial_conditions(b, phi, x0)

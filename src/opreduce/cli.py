@@ -1,23 +1,25 @@
 """Command-line front end.
 
-Subcommands: reduce, solve, cramer, oracle, verify.  Reports are emitted as
-JSON (machine) or text (human); all numbers are rational literal strings in
-both.  Exit codes: 0 success, 2 input error, 3 mathematical degeneracy
-(singular matrix), 4 identity-suite failure.
+Subcommands: reduce, solve, cramer, oracle, verify.  Each ``cmd_*`` computes
+a report payload and whether its identities held, and nothing else; `main`
+opens the report stream, loads the spec, renders the payload as JSON
+(machine) or text (human), writes it and picks the exit code.  All numbers
+are rational literal strings in both formats.  Exit codes: 0 success, 2
+input error, 3 mathematical degeneracy (singular matrix), 4 identity-suite
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .cauchy import CauchyProblem, solve_cauchy, verify_total_reduction
-from .exactcore import Matrix, format_rational, mat_vec
+from .cauchy import solve_cauchy, verify_total_reduction
+from .exactcore import Matrix, mat_vec
 from .faddeev import adjugate_coeffs, adjugate_coeffs_minors, cayley_hamilton_check
 from .operators import OperatorKind
 from .reduction import (
@@ -45,10 +47,6 @@ EXIT_IDENTITY = 4
 BRUTE_FORCE_CAP = 12
 
 
-def _rational_strings(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
 def _operator_poly_text(cp) -> str:
     text = f"A^{cp.n}"
     for k in range(1, cp.n + 1):
@@ -58,7 +56,7 @@ def _operator_poly_text(cp) -> str:
         sign = "-" if dk < 0 else "+"
         power = cp.n - k
         base = "I" if power == 0 else f"A^{power}"
-        text += f" {sign} {format_rational(abs(dk))}*{base}"
+        text += f" {sign} {abs(dk)!s}*{base}"
     return text
 
 
@@ -144,16 +142,13 @@ def _verify_text(payload: dict) -> str:
     return "\n".join(lines + _residual_lines(payload, payload["residuals"], [])) + "\n"
 
 
-def _emit(payload: dict, text_renderer, args) -> None:
-    if args.format == "json":
-        body = json.dumps(payload, indent=2) + "\n"
-    else:
-        body = text_renderer(payload)
-    try:
-        args.stream.write(body)
-        args.stream.flush()
-    except OSError as exc:
-        raise SpecError(f"cannot write report to {args.out}: {exc}") from None
+_TEXT = {
+    "reduce": _reduce_text,
+    "solve": _solve_text,
+    "cramer": _cramer_text,
+    "oracle": _oracle_text,
+    "verify": _verify_text,
+}
 
 
 @contextmanager
@@ -187,30 +182,7 @@ def _no_int_str_digit_limit():
         sys.set_int_max_str_digits(previous)
 
 
-def _spec_command(body):
-    """Load ``--spec``, check ``--nmax``, then run ``body(args, spec)``.
-
-    The spec is parsed under the interpreter's int/str digit limit, which
-    guards against hostile literals.  Exact results can grow far past it,
-    so the report is computed and written without the limit.
-    """
-
-    @functools.wraps(body)
-    def command(args) -> int:
-        spec = load_spec(args.spec)
-        if spec.n > args.nmax:
-            raise SpecError(
-                f"dimension n = {spec.n} exceeds the brute-force cap {args.nmax}; "
-                "raise --nmax to override"
-            )
-        with _no_int_str_digit_limit():
-            return body(args, spec)
-
-    return command
-
-
-@_spec_command
-def cmd_reduce(args, spec) -> int:
+def cmd_reduce(args, spec) -> tuple[dict, bool]:
     reduced = total_reduce_adjugate(spec.matrix, spec.phi, spec.operator)
     agreement = reduced == total_reduce_minors(spec.matrix, spec.phi, spec.operator)
     payload = {
@@ -221,12 +193,10 @@ def cmd_reduce(args, spec) -> int:
         **reduced_to_json(reduced),
         "route_agreement": agreement,
     }
-    _emit(payload, _reduce_text, args)
-    return EXIT_OK if agreement else EXIT_IDENTITY
+    return payload, agreement
 
 
-@_spec_command
-def cmd_solve(args, spec) -> int:
+def cmd_solve(args, spec) -> tuple[dict, bool]:
     if spec.operator is not OperatorKind.SHIFT:
         raise SpecError("solve needs the shift operator")
     if spec.initial is None:
@@ -235,8 +205,9 @@ def cmd_solve(args, spec) -> int:
     if horizon is None:
         raise SpecError("spec field horizon: missing (required by solve; or pass --horizon)")
     t0, x0 = spec.initial
-    problem = CauchyProblem(b=spec.matrix, phi=spec.phi, t0=t0, x0=x0, horizon=horizon)
-    trajectories, verification, derived = solve_cauchy(problem)
+    if spec.phi.entries[0].origin != t0:
+        raise SpecError("free column origin must match t0")
+    trajectories, verification, derived = solve_cauchy(spec.matrix, spec.phi, x0, horizon)
     derived_blocks = []
     ok_derived = True
     for i in range(1, spec.n + 1):
@@ -248,7 +219,7 @@ def cmd_solve(args, spec) -> int:
         derived_blocks.append(
             {
                 "variable": i,
-                "values": _rational_strings(values),
+                "values": list(map(str, values)),
                 "matches_trajectory": matches,
             }
         )
@@ -259,7 +230,7 @@ def cmd_solve(args, spec) -> int:
         "t0": t0,
         "horizon": horizon,
         "lhs": _operator_poly_text(verification.reduced.cp),
-        "char_poly": _rational_strings(verification.reduced.cp.d),
+        "char_poly": list(map(str, verification.reduced.cp.d)),
         "trajectories": [
             {"variable": i + 1, **{k: v for k, v in element_to_json(trajectories[i]).items() if k != "kind"}}
             for i in range(spec.n)
@@ -269,13 +240,10 @@ def cmd_solve(args, spec) -> int:
         "route_agreement": verification.route_agreement,
         "all_zero": verification.all_zero(),
     }
-    _emit(payload, _solve_text, args)
-    ok = verification.all_zero() and ok_derived
-    return EXIT_OK if ok else EXIT_IDENTITY
+    return payload, verification.all_zero() and ok_derived
 
 
-@_spec_command
-def cmd_cramer(args, spec) -> int:
+def cmd_cramer(args, spec) -> tuple[dict, bool]:
     if spec.operator is not OperatorKind.ZERO:
         raise SpecError("cramer needs the zero operator")
     constants = []
@@ -290,12 +258,11 @@ def cmd_cramer(args, spec) -> int:
     payload = {
         "command": "cramer",
         "n": spec.n,
-        "solution": _rational_strings(solution),
-        "residual": _rational_strings(residual),
+        "solution": list(map(str, solution)),
+        "residual": list(map(str, residual)),
         "pipeline_agreement": agreement,
     }
-    _emit(payload, _cramer_text, args)
-    return EXIT_OK if agreement else EXIT_IDENTITY
+    return payload, agreement
 
 
 def _random_column(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -306,7 +273,7 @@ def _random_matrix(rng: random.Random, n: int) -> Matrix:
     return Matrix(_random_column(rng, n) for _ in range(n))
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[dict, bool]:
     if args.nmin < 1 or args.nmin > args.nmax:
         raise SpecError(f"invalid dimension range {args.nmin}..{args.nmax}")
     if args.nmax > BRUTE_FORCE_CAP:
@@ -348,12 +315,10 @@ def cmd_oracle(args) -> int:
         "checks": checks,
         "all_passed": all_passed,
     }
-    _emit(payload, _oracle_text, args)
-    return EXIT_OK if all_passed else EXIT_IDENTITY
+    return payload, all_passed
 
 
-@_spec_command
-def cmd_verify(args, spec) -> int:
+def cmd_verify(args, spec) -> tuple[dict, bool]:
     if spec.x is None:
         raise SpecError("spec field x: missing (required by verify)")
     report = verify_total_reduction(spec.matrix, spec.x, spec.phi, spec.operator)
@@ -362,13 +327,12 @@ def cmd_verify(args, spec) -> int:
         "n": spec.n,
         "operator": spec.operator.value,
         "lhs": _operator_poly_text(report.reduced.cp),
-        "char_poly": _rational_strings(report.reduced.cp.d),
+        "char_poly": list(map(str, report.reduced.cp.d)),
         "residuals": [residual_to_json(i, r) for i, r in enumerate(report.residuals, start=1)],
         "route_agreement": report.route_agreement,
         "all_zero": report.all_zero(),
     }
-    _emit(payload, _verify_text, args)
-    return EXIT_OK if report.all_zero() else EXIT_IDENTITY
+    return payload, report.all_zero()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,12 +379,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args, stream) -> bool:
+    """Run the command and write its report; True iff the command's identities held.
+
+    A spec is parsed under the interpreter's int/str digit limit, which
+    guards against hostile literals.  Exact results can grow far past it,
+    so the report is computed and written without the limit.
+    """
+    operands = [args]
+    if args.command != "oracle":
+        spec = load_spec(args.spec)
+        if spec.n > args.nmax:
+            raise SpecError(
+                f"dimension n = {spec.n} exceeds the brute-force cap {args.nmax}; "
+                "raise --nmax to override"
+            )
+        operands.append(spec)
+    with _no_int_str_digit_limit():
+        payload, ok = args.func(*operands)
+        body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else _TEXT[args.command](payload)
+        try:
+            stream.write(body)
+            stream.flush()
+        except OSError as exc:
+            raise SpecError(f"cannot write report to {args.out}: {exc}") from None
+    return ok
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        with _report_stream(args.out) as args.stream:
-            return args.func(args)
+        with _report_stream(args.out) as stream:
+            return EXIT_OK if _report(args, stream) else EXIT_IDENTITY
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

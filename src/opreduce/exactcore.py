@@ -42,13 +42,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical text form: ``"p"`` or ``"p/q"`` with q > 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction or rational literal string; floats are rejected."""
     if isinstance(value, Fraction):
@@ -92,9 +85,7 @@ class Matrix:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            "[" + ", ".join(format_rational(x) for x in row) + "]" for row in self._rows
-        )
+        body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self._rows)
         return f"Matrix([{body}])"
 
 
@@ -125,34 +116,6 @@ def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
     vden, (ints,) = clear_denominators([col])
     scale = den * vden
     return tuple(Fraction(sum(map(mul, row, ints)), scale) for row in rows)
-
-
-def det_cofactor(m: Matrix) -> Fraction:
-    """Determinant by cofactor expansion along the first row.
-
-    Factorial cost; kept as an independent oracle for the fraction-free
-    kernel in tests.
-    """
-    n = m.n
-    rows = m.rows()
-
-    def expand(idx_rows: tuple[int, ...], idx_cols: tuple[int, ...]) -> Fraction:
-        k = len(idx_rows)
-        if k == 1:
-            return rows[idx_rows[0]][idx_cols[0]]
-        r0 = idx_rows[0]
-        total = Fraction(0)
-        sign = 1
-        for pos, c in enumerate(idx_cols):
-            a = rows[r0][c]
-            if a != 0:
-                sub_cols = idx_cols[:pos] + idx_cols[pos + 1 :]
-                total += sign * a * expand(idx_rows[1:], sub_cols)
-            sign = -sign
-        return total
-
-    indices = tuple(range(n))
-    return expand(indices, indices)
 
 
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:

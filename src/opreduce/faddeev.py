@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import DimensionError, Matrix, as_rational, clear_denominators, identity, matmul_int
+from .exactcore import DimensionError, Matrix, clear_denominators, identity, matmul_int
 from .minors import delta_k, delta_k_i_coeffs
 
 
@@ -33,14 +33,17 @@ class RecurrenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic characteristic polynomial lambda^n + d[0] lambda^(n-1) + ... + d[n-1]."""
+    """Monic characteristic polynomial lambda^n + d[0] lambda^(n-1) + ... + d[n-1], n = len(d)."""
 
-    n: int
     d: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.d) != self.n:
-            raise ValueError("characteristic polynomial needs exactly n trailing coefficients")
+        if not self.d:
+            raise ValueError("characteristic polynomial needs n >= 1 trailing coefficients")
+
+    @property
+    def n(self) -> int:
+        return len(self.d)
 
     def coefficient(self, k: int) -> Fraction:
         """d_k for 1 <= k <= n."""
@@ -48,26 +51,21 @@ class CharPoly:
             raise IndexError(f"coefficient index {k} out of range 1..{self.n}")
         return self.d[k - 1]
 
-    def evaluate(self, lam) -> Fraction:
-        """Value of the polynomial at a rational point."""
-        lam = as_rational(lam)
-        acc = Fraction(1)
-        for dk in self.d:
-            acc = acc * lam + dk
-        return acc
-
 
 @dataclass(frozen=True)
 class AdjugateCoeffs:
-    """Coefficients B_0..B_{n-1} of adj(lambda*I - B) as a polynomial in lambda."""
+    """Coefficients B_0..B_{n-1} of adj(lambda*I - B) as a polynomial in lambda; n is the order of p."""
 
-    n: int
     coeffs: tuple[Matrix, ...]
     cp: CharPoly
 
     def __post_init__(self):
-        if len(self.coeffs) != self.n:
+        if len(self.coeffs) != self.cp.n:
             raise ValueError("adjugate expansion needs exactly n matrix coefficients")
+
+    @property
+    def n(self) -> int:
+        return self.cp.n
 
 
 def char_poly(b: Matrix) -> CharPoly:
@@ -77,8 +75,7 @@ def char_poly(b: Matrix) -> CharPoly:
 
 def char_poly_minors(b: Matrix) -> CharPoly:
     """Oracle route: d_k = (-1)^k * (sum of order-k principal minors)."""
-    n = b.n
-    return CharPoly(n, tuple((-1) ** k * delta_k(b, k) for k in range(1, n + 1)))
+    return CharPoly(tuple((-1) ** k * delta_k(b, k) for k in range(1, b.n + 1)))
 
 
 def _signed(k: int, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -88,9 +85,8 @@ def _signed(k: int, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def adjugate_coeffs_minors(b: Matrix) -> AdjugateCoeffs:
     """Oracle route: row i of B_{k-1} is (-1)^(k-1) times the order-k functional anchored at i."""
-    n = b.n
-    coeffs = tuple(Matrix(_signed(k, row) for row in delta_k_i_coeffs(b, k)) for k in range(1, n + 1))
-    return AdjugateCoeffs(n, coeffs, char_poly_minors(b))
+    coeffs = tuple(Matrix(_signed(k, row) for row in delta_k_i_coeffs(b, k)) for k in range(1, b.n + 1))
+    return AdjugateCoeffs(coeffs, char_poly_minors(b))
 
 
 def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
@@ -119,7 +115,7 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
                 prod[i][i] += ck
             c_rows = prod
             coeffs.append(Matrix(tuple(Fraction(x, scale) for x in row) for row in prod))
-    return AdjugateCoeffs(n, tuple(coeffs), CharPoly(n, tuple(d)))
+    return AdjugateCoeffs(tuple(coeffs), CharPoly(tuple(d)))
 
 
 def cayley_hamilton_check(b: Matrix, ac: AdjugateCoeffs) -> bool:

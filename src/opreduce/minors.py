@@ -25,9 +25,9 @@ principal subset, whose adjugate serves all k anchors of the subset at once
 2^n - 1 eliminations.
 
 The enumeration shares only `clear_denominators` with the trace recurrence
-of `faddeev`; that helper is checked on its own (`det` against
-`det_cofactor`, and its own tests), so the enumeration stays an
-independent check of the recurrence.
+of `faddeev`; that helper is checked on its own (`det` against the test
+suite's cofactor expansion, and its own tests), so the enumeration stays
+an independent check of the recurrence.
 
 Subsets are enumerated in lexicographic order; exact arithmetic makes the
 summation order irrelevant, fixing it just keeps debugging deterministic.

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exactcore import as_column, as_rational, clear_denominators, format_rational
+from .exactcore import as_column, as_rational, clear_denominators
 
 
 class HorizonError(ValueError):
@@ -44,13 +44,6 @@ class OperatorKind(enum.Enum):
     SHIFT = "shift"
     DERIVATIVE = "derivative"
     ZERO = "zero"
-
-    @classmethod
-    def from_name(cls, name: str) -> "OperatorKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown operator kind {name!r}")
 
 
 class _Element:
@@ -124,7 +117,7 @@ class Polynomial(_Element):
         return hash(("Polynomial", self.coeffs))
 
     def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(format_rational(c) for c in self.coeffs)}])"
+        return f"Polynomial([{', '.join(map(str, self.coeffs))}])"
 
 
 class FiniteSequence(_Element):
@@ -179,8 +172,7 @@ class FiniteSequence(_Element):
         return hash(("FiniteSequence", self.origin, self.values))
 
     def __repr__(self) -> str:
-        vals = ", ".join(format_rational(v) for v in self.values)
-        return f"FiniteSequence(origin={self.origin}, values=[{vals}])"
+        return f"FiniteSequence(origin={self.origin}, values=[{', '.join(map(str, self.values))}])"
 
 
 OperatorElement = Union[Polynomial, FiniteSequence]

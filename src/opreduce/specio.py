@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Matrix, format_rational, parse_rational
+from .exactcore import Matrix, parse_rational
 from .faddeev import _signed
 from .operators import ElementColumn, FiniteSequence, OperatorElement, OperatorKind, Polynomial
 
@@ -39,13 +39,16 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    n: int
     matrix: Matrix
     operator: OperatorKind
     phi: ElementColumn
     initial: tuple[int, tuple[Fraction, ...]] | None = None
     horizon: int | None = None
     x: ElementColumn | None = None
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
 
 
 def _fail(path: str, message: str) -> SpecError:
@@ -136,9 +139,9 @@ def parse_spec_dict(data) -> SystemSpec:
     if not isinstance(data["operator"], str):
         raise _fail("operator", f"expected a string, got {data['operator']!r}")
     try:
-        kind = OperatorKind.from_name(data["operator"])
-    except ValueError as exc:
-        raise _fail("operator", str(exc)) from None
+        kind = OperatorKind(data["operator"])
+    except ValueError:
+        raise _fail("operator", f"unknown operator kind {data['operator']!r}") from None
 
     phi = _parse_column(data["phi"], kind, n, "phi")
 
@@ -163,7 +166,7 @@ def parse_spec_dict(data) -> SystemSpec:
     if data.get("x") is not None:
         x = _parse_column(data["x"], kind, n, "x")
 
-    return SystemSpec(n=n, matrix=matrix, operator=kind, phi=phi, initial=initial, horizon=horizon, x=x)
+    return SystemSpec(matrix=matrix, operator=kind, phi=phi, initial=initial, horizon=horizon, x=x)
 
 
 def load_spec(path: str) -> SystemSpec:
@@ -183,9 +186,9 @@ def element_to_json(e: OperatorElement) -> dict:
         return {
             "kind": "sequence",
             "origin": e.origin,
-            "values": [format_rational(v) for v in e.values],
+            "values": list(map(str, e.values)),
         }
-    return {"kind": "polynomial", "coeffs": [format_rational(c) for c in e.coeffs]}
+    return {"kind": "polynomial", "coeffs": list(map(str, e.coeffs))}
 
 
 def term_to_json(n: int, k: int, row) -> dict:
@@ -194,14 +197,14 @@ def term_to_json(n: int, k: int, row) -> dict:
         "order": k,
         "sign": (-1) ** (k - 1),
         "power": n - k,
-        "coeffs": [format_rational(c) for c in _signed(k, row)],
+        "coeffs": list(map(str, _signed(k, row))),
     }
 
 
 def reduced_to_json(reduced) -> dict:
     ac = reduced.ac
     return {
-        "char_poly": [format_rational(d) for d in ac.cp.d],
+        "char_poly": list(map(str, ac.cp.d)),
         "rhs": [
             {
                 "variable": i + 1,

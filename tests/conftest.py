@@ -67,6 +67,32 @@ def random_polynomial_column(
     )
 
 
+def det_cofactor(m: Matrix) -> Fraction:
+    """Determinant by cofactor expansion along the first row.
+
+    Factorial cost; an independent oracle for the fraction-free kernel, as
+    it shares no code with it.
+    """
+    rows = m.rows()
+
+    def expand(idx_rows: tuple[int, ...], idx_cols: tuple[int, ...]) -> Fraction:
+        if len(idx_rows) == 1:
+            return rows[idx_rows[0]][idx_cols[0]]
+        r0 = idx_rows[0]
+        total = Fraction(0)
+        sign = 1
+        for pos, c in enumerate(idx_cols):
+            a = rows[r0][c]
+            if a != 0:
+                sub_cols = idx_cols[:pos] + idx_cols[pos + 1 :]
+                total += sign * a * expand(idx_rows[1:], sub_cols)
+            sign = -sign
+        return total
+
+    indices = tuple(range(m.n))
+    return expand(indices, indices)
+
+
 def zero_matrix(n: int) -> Matrix:
     return Matrix([[0] * n for _ in range(n)])
 

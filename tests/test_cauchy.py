@@ -16,7 +16,6 @@ from conftest import (
     zero_matrix,
 )
 from opreduce.cauchy import (
-    CauchyProblem,
     derived_initial_conditions,
     iterate_difference,
     manufacture_solution,
@@ -354,12 +353,12 @@ class TestSolveCauchy:
             b = random_matrix(rng, n)
             phi = random_sequence_column(rng, n, horizon=n + 6, origin=2)
             x0 = random_column(rng, n)
-            problem = CauchyProblem(b=b, phi=phi, t0=2, x0=x0, horizon=n + 5)
-            trajectories, verification, derived = solve_cauchy(problem)
+            horizon = n + 5
+            trajectories, verification, derived = solve_cauchy(b, phi, x0, horizon)
             assert trajectories[0].horizon == n + 6
             assert verification.all_zero()
             # residuals comparable exactly on [t0, t0 + horizon - n]
-            length = problem.horizon - n + 1
+            length = horizon - n + 1
             for i, residual in enumerate(verification.residuals, start=1):
                 assert (residual.origin, residual.horizon) == (2, length)
                 assert residual_to_json(i, residual)["window"] == {"origin": 2, "length": length}
@@ -370,17 +369,15 @@ class TestSolveCauchy:
     def test_problem_validation(self, rng):
         b = random_matrix(rng, 2)
         phi = random_sequence_column(rng, 2, horizon=8)
-        with pytest.raises(ValueError):
-            CauchyProblem(b=b, phi=phi, t0=0, x0=(Fraction(1),), horizon=5)
-        with pytest.raises(ValueError):
-            CauchyProblem(b=b, phi=phi, t0=0, x0=(Fraction(1), Fraction(0)), horizon=2)
-        with pytest.raises(ValueError):
-            CauchyProblem(b=b, phi=phi, t0=1, x0=(Fraction(1), Fraction(0)), horizon=5)
-        with pytest.raises(HorizonError):
-            CauchyProblem(b=b, phi=phi, t0=0, x0=(Fraction(1), Fraction(0)), horizon=9)
+        with pytest.raises(ValueError, match="initial column has 1 entries"):
+            solve_cauchy(b, phi, (Fraction(1),), 5)
+        with pytest.raises(ValueError, match="horizon must be >= n \\+ 1 = 3, got 2"):
+            solve_cauchy(b, phi, (Fraction(1), Fraction(0)), 2)
+        with pytest.raises(HorizonError, match="free column horizon 8 < steps 9"):
+            solve_cauchy(b, phi, (Fraction(1), Fraction(0)), 9)
 
     def test_polynomial_phi_rejected(self, rng):
         b = random_matrix(rng, 2)
         phi = ElementColumn([Polynomial([1]), Polynomial([2])])
         with pytest.raises(ValueError):
-            CauchyProblem(b=b, phi=phi, t0=0, x0=(Fraction(1), Fraction(0)), horizon=5)
+            solve_cauchy(b, phi, (Fraction(1), Fraction(0)), 5)

@@ -30,6 +30,7 @@ from opreduce.faddeev import (
     char_poly_minors,
 )
 from opreduce.minors import delta_vec
+from opreduce.operators import Polynomial
 
 
 class TestCharPoly:
@@ -60,11 +61,12 @@ class TestCharPoly:
     def test_evaluate(self):
         cp = char_poly(Matrix([[1, 2], [3, 4]]))
         # lambda^2 - 5 lambda - 2 at lambda = 3
-        assert cp.evaluate(3) == 9 - 15 - 2
+        assert Polynomial((1, *cp.d)[::-1]).evaluate(3) == 9 - 15 - 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CharPoly(2, (Fraction(1),))
+            CharPoly(())
+        assert CharPoly((Fraction(1), Fraction(2))).n == 2
         cp = char_poly(identity(2))
         with pytest.raises(IndexError):
             cp.coefficient(0)
@@ -115,7 +117,7 @@ class TestAdjugateCoeffs:
             assert cayley_hamilton_check(b, ac)
             d = list(ac.cp.d)
             d[n - 1] += 1
-            assert not cayley_hamilton_check(b, AdjugateCoeffs(n, ac.coeffs, CharPoly(n, tuple(d))))
+            assert not cayley_hamilton_check(b, AdjugateCoeffs(ac.coeffs, CharPoly(tuple(d))))
         for b in matrices:
             n = b.n
             ac = adjugate_coeffs(b)
@@ -123,12 +125,22 @@ class TestAdjugateCoeffs:
                 rows = [list(row) for row in ac.coeffs[n - 1].rows()]
                 rows[r][c] += Fraction(1, 7)
                 coeffs = (*ac.coeffs[: n - 1], Matrix(rows))
-                assert not cayley_hamilton_check(b, AdjugateCoeffs(n, coeffs, ac.cp))
+                assert not cayley_hamilton_check(b, AdjugateCoeffs(coeffs, ac.cp))
 
     def test_cayley_hamilton_rejects_coefficients_of_another_order(self, rng):
         for n, other in ((2, 3), (3, 2), (1, 2), (4, 1)):
             with pytest.raises(DimensionError):
                 cayley_hamilton_check(random_matrix(rng, n), adjugate_coeffs(random_matrix(rng, other)))
+
+    def test_coefficient_count_must_match_the_polynomial_order(self, rng):
+        # n is read from the polynomial, so n matrices with a polynomial of
+        # another order cannot form an adjugate expansion
+        for n, other in ((2, 3), (3, 2), (1, 2), (4, 1)):
+            ac = adjugate_coeffs(random_matrix(rng, n))
+            cp = char_poly(random_matrix(rng, other))
+            with pytest.raises(ValueError):
+                AdjugateCoeffs(ac.coeffs, cp)
+            assert AdjugateCoeffs(ac.coeffs, ac.cp).n == n
 
 
 def fraction_recurrence(b):
@@ -211,7 +223,7 @@ class TestAdjugateAt:
             for _ in range(5):
                 lam = random_rational(rng)
                 left = matmul(plus_identity(minus_b, lam), adjugate_at(ac, lam))
-                assert left == plus_identity(zero_matrix(n), ac.cp.evaluate(lam))
+                assert left == plus_identity(zero_matrix(n), Polynomial((1, *ac.cp.d)[::-1]).evaluate(lam))
 
 
 class TestAdjugateMinorCorrespondence:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LARGE_PRIMES,
+    det_cofactor,
     patch_everywhere,
     random_column,
     random_matrix,
@@ -15,7 +16,7 @@ from conftest import (
     zero_matrix,
 )
 from opreduce import exactcore, minors
-from opreduce.exactcore import Matrix, det_cofactor, identity, mat_vec
+from opreduce.exactcore import Matrix, identity, mat_vec
 from opreduce.minors import _adjugate_int, delta_k, delta_k_i, delta_k_i_coeffs, delta_vec
 from opreduce.operators import OperatorKind
 from opreduce.reduction import total_reduce_minors

@@ -213,7 +213,7 @@ class TestRouteEquality:
         rows = [list(row) for row in ac.coeffs[k].rows()]
         rows[0][j] += 1
         coeffs = ac.coeffs[:k] + (Matrix(rows),) + ac.coeffs[k + 1 :]
-        perturbed = ReducedSystem(AdjugateCoeffs(n, coeffs, ac.cp), phi, kind)
+        perturbed = ReducedSystem(AdjugateCoeffs(coeffs, ac.cp), phi, kind)
         assert perturbed.rhs_evaluated == reduced.rhs_evaluated
         assert perturbed != reduced
         assert reduced_to_json(perturbed) != reduced_to_json(reduced)
@@ -359,7 +359,7 @@ class TestLemmaChecks:
                 for r, c in {(0, 0), (n - 1, 0), (0, n - 1)}:
                     rows = [list(row) for row in mc.coeffs[j].rows()]
                     rows[r][c] += Fraction(1, 7)
-                    bad = AdjugateCoeffs(n, (*mc.coeffs[:j], Matrix(rows), *mc.coeffs[j + 1 :]), mc.cp)
+                    bad = AdjugateCoeffs((*mc.coeffs[:j], Matrix(rows), *mc.coeffs[j + 1 :]), mc.cp)
                     for k in range(1, n + 1):
                         assert lemma1_check(b, bad, k, v) is (k not in (j, j + 1))
                     for k in range(n):
@@ -373,7 +373,7 @@ class TestLemmaChecks:
             for j in range(1, n + 1):
                 d = list(mc.cp.d)
                 d[j - 1] += Fraction(1, 7)
-                bad = AdjugateCoeffs(n, mc.coeffs, CharPoly(n, tuple(d)))
+                bad = AdjugateCoeffs(mc.coeffs, CharPoly(tuple(d)))
                 for k in range(1, n + 1):
                     assert lemma1_check(b, bad, k, v) is (k != j)
                 assert all(lemma2_check(ac, bad, k, v) for k in range(n))
