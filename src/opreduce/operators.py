@@ -5,20 +5,25 @@ sequences, the formal derivative on rational-coefficient polynomials, and the
 zero operator on either (which degenerates the whole reduction pipeline to
 Cramer's rule).
 
+Both kinds of element are one `OperatorElement`: a tuple of `Fraction`
+``values`` (a sequence's window or a polynomial's ascending coefficients), an
+``origin`` (a sequence's first time, ``None`` for a polynomial) and the same
+values in one integer form ``(D, ints)``, ``Fraction(ints[t], D) ==
+values[t]``.  Equality, hashing and the zero test live on that base; the
+subclasses add only their operator and window semantics.
+
 Sequences are finite tables, not closed-form generators: a shift consumes one
 step of horizon instead of inventing data, so callers must provision enough
 horizon for the verification window they want.  Every combination of
 elements goes through `lincomb`: sequences with the same origin combine on
 the largest window where all are defined, polynomials on the longest
-coefficient list.
+coefficient list.  It reads the elements' integer forms and hands each output
+its own.
 
-Every element is born whole: beside its `Fraction` values it holds them in
-one integer form ``(D, ints)``, ``Fraction(ints[t], D) == values[t]``, which
-`lincomb` reads in place of clearing the values again.  The public
-constructors coerce and check their input and clear it once; a producer that
-already has both (a shift, a derivative, a `lincomb` output, an iterated
-trajectory) hands them to `_born`, which trusts them, so nothing is coerced
-or cleared twice and the shifted copies of one sequence share one clearing.
+The public constructors coerce and check their input and clear it once; a
+producer that already has both values and form (a shift, a derivative, a
+`lincomb` output, an iterated trajectory) hands them to `_born`, which trusts
+them, so the shifted copies of one sequence share one clearing.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .exactcore import as_column, as_rational, clear_denominators
 
@@ -46,14 +51,23 @@ class OperatorKind(enum.Enum):
     ZERO = "zero"
 
 
-class _Element:
-    """Element arithmetic, all of it through `lincomb`."""
+class OperatorElement:
+    """An element of the operator's vector space; all of its arithmetic goes through `lincomb`."""
 
-    __slots__ = ()
+    __slots__ = ("origin", "values", "_form")
 
     def int_form(self) -> tuple[int, list[int]]:
-        """``(D, ints)`` with ``Fraction(ints[t], D)`` equal to value (or coefficient) t, fixed at birth."""
+        """``(D, ints)`` with ``Fraction(ints[t], D)`` equal to value t, fixed at birth."""
         return self._form
+
+    def is_zero(self) -> bool:
+        return not any(self._form[1])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.origin == other.origin and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.origin, self.values))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -74,28 +88,32 @@ class _Element:
     __mul__ = __rmul__
 
 
-class Polynomial(_Element):
+def _born(cls, values: tuple[Fraction, ...], form: tuple[int, list[int]], origin=None) -> OperatorElement:
+    """An element of ``cls`` holding ``values``, their form and a sequence's ``origin``, all trusted unchecked."""
+    element = object.__new__(cls)
+    element.origin, element.values, element._form = origin, values, form
+    return element
+
+
+class Polynomial(OperatorElement):
     """Rational-coefficient polynomial, ascending degree, trailing zeros stripped."""
 
-    __slots__ = ("coeffs", "_form")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         den, (ints,) = clear_denominators([cs])
-        self._fill(tuple(cs), (den, ints))
+        self.origin, self.values, self._form = None, tuple(cs), (den, ints)
 
-    def _fill(self, coeffs: tuple[Fraction, ...], form: tuple[int, list[int]], origin=None) -> None:
-        self.coeffs = coeffs
-        self._form = form
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.values
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.values) - 1
 
     def derivative(self) -> "Polynomial":
         # k c_k keeps the leading coefficient nonzero, so there is nothing to strip
@@ -106,24 +124,18 @@ class Polynomial(_Element):
     def evaluate(self, t) -> Fraction:
         point = as_rational(t)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.values):
             acc = acc * point + c
         return acc
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
-
     def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(map(str, self.coeffs))}])"
+        return f"Polynomial([{', '.join(map(str, self.values))}])"
 
 
-class FiniteSequence(_Element):
+class FiniteSequence(OperatorElement):
     """Finite window of a rational sequence: values e(t0), ..., e(t0 + H - 1)."""
 
-    __slots__ = ("origin", "values", "_form")
+    __slots__ = ()
 
     def __init__(self, origin: int, values: Iterable):
         if isinstance(origin, bool):
@@ -134,19 +146,11 @@ class FiniteSequence(_Element):
         if not vals:
             raise HorizonError("sequence needs horizon >= 1")
         den, (ints,) = clear_denominators([vals])
-        self._fill(vals, (den, ints), origin)
-
-    def _fill(self, values: tuple[Fraction, ...], form: tuple[int, list[int]], origin: int) -> None:
-        self.origin = origin
-        self.values = values
-        self._form = form
+        self.origin, self.values, self._form = origin, vals, (den, ints)
 
     @property
     def horizon(self) -> int:
         return len(self.values)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
     def value_at(self, t: int) -> Fraction:
         k = t - self.origin
@@ -161,28 +165,8 @@ class FiniteSequence(_Element):
         den, ints = self._form
         return _born(FiniteSequence, self.values[1:], (den, ints[1:]), self.origin)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteSequence)
-            and self.origin == other.origin
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash(("FiniteSequence", self.origin, self.values))
-
     def __repr__(self) -> str:
         return f"FiniteSequence(origin={self.origin}, values=[{', '.join(map(str, self.values))}])"
-
-
-OperatorElement = Union[Polynomial, FiniteSequence]
-
-
-def _born(cls, values: tuple[Fraction, ...], form: tuple[int, list[int]], origin=None) -> OperatorElement:
-    """An element of ``cls`` (with a sequence's ``origin``) holding ``values`` and their form, both trusted."""
-    element = object.__new__(cls)
-    element._fill(values, form, origin)
-    return element
 
 
 class ElementColumn:
@@ -199,18 +183,13 @@ class ElementColumn:
         if not items:
             raise HeterogeneousColumnError("column needs at least one entry")
         first = items[0]
-        if isinstance(first, FiniteSequence):
-            for e in items[1:]:
-                if not isinstance(e, FiniteSequence):
-                    raise HeterogeneousColumnError("column mixes sequences and polynomials")
-                if e.origin != first.origin or e.horizon != first.horizon:
-                    raise HeterogeneousColumnError("sequence column entries must share origin and horizon")
-        elif isinstance(first, Polynomial):
-            for e in items[1:]:
-                if not isinstance(e, Polynomial):
-                    raise HeterogeneousColumnError("column mixes sequences and polynomials")
-        else:
+        if not isinstance(first, OperatorElement):
             raise TypeError(f"not an operator element: {first!r}")
+        for e in items[1:]:
+            if type(e) is not type(first):
+                raise HeterogeneousColumnError("column mixes sequences and polynomials")
+            if e.origin != first.origin or (isinstance(e, FiniteSequence) and e.horizon != first.horizon):
+                raise HeterogeneousColumnError("sequence column entries must share origin and horizon")
         self.entries = items
 
     @property
@@ -278,17 +257,12 @@ def lincomb(
     if any(len(row) != len(elements) for row in scalar_rows):
         raise ValueError("lincomb needs rows as long as the element list")
     first = elements[0]
-    if not isinstance(first, (Polynomial, FiniteSequence)) or any(
-        not isinstance(e, type(first)) for e in elements
-    ):
+    if not isinstance(first, OperatorElement) or any(type(e) is not type(first) for e in elements):
         raise TypeError("lincomb needs elements of one variant")
+    if any(e.origin != first.origin for e in elements):
+        raise HeterogeneousColumnError("cannot combine sequences with different origins")
     is_sequence = isinstance(first, FiniteSequence)
-    if is_sequence:
-        if any(e.origin != first.origin for e in elements):
-            raise HeterogeneousColumnError("cannot combine sequences with different origins")
-        width = min(e.horizon for e in elements)
-    else:
-        width = max(len(e.coeffs) for e in elements)
+    width = (min if is_sequence else max)(len(e.values) for e in elements)
     coeff_rows = [as_column(row) for row in scalar_rows]
     live = [j for j, column in enumerate(zip(*coeff_rows)) if any(column)]
     q_den, q_ints = clear_denominators([[row[j] for j in live] for row in coeff_rows])
@@ -310,7 +284,7 @@ def lincomb(
         d = den // g
         row = [a // g for a in row]
         values = tuple(Fraction(a, d) for a in row)
-        results.append(_born(type(first), values, (d, row), first.origin if is_sequence else None))
+        results.append(_born(type(first), values, (d, row), first.origin))
     return tuple(results)
 
 

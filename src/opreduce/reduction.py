@@ -150,8 +150,8 @@ def lemma1_check(b: Matrix, mc: AdjugateCoeffs, k: int, v: Sequence) -> bool:
     return lhs == tuple(x + dk * c for x, c in zip(rhs, col))
 
 
-def lemma2_check(ac: AdjugateCoeffs, mc: AdjugateCoeffs, k: int, v: Sequence) -> bool:
-    """Exact identity: B_k v from the trace recurrence ``ac`` equals B_k v from the minors ``mc``."""
+def lemma2_check(ac: AdjugateCoeffs, mc: AdjugateCoeffs, k: int) -> bool:
+    """Exact identity: B_k from the trace recurrence ``ac`` equals B_k from the minors ``mc``."""
     if not 0 <= k <= ac.n - 1:
         raise IndexError(f"adjugate coefficient index {k} out of range 0..{ac.n - 1}")
-    return mat_vec(ac.coeffs[k], v) == mat_vec(mc.coeffs[k], v)
+    return ac.coeffs[k] == mc.coeffs[k]

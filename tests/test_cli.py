@@ -277,18 +277,14 @@ class TestSolve:
                 "horizon": horizon,
             },
         )
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        limit = sys.get_int_max_str_digits()
         rc, out, err = run_cli(capsys, ["solve", "--spec", spec, "--format", "json"])
         assert (rc, err) == (0, "")
         report = json.loads(out)
         assert report["trajectories"][0]["values"][-1] == "1" + "0" * 5000
         assert report["all_zero"] is True
-        if limit is not None:
-            assert sys.get_int_max_str_digits() == limit
+        assert sys.get_int_max_str_digits() == limit
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int/str digit limit"
-    )
     def test_spec_literals_stay_under_the_int_digit_limit(self, capsys, tmp_path):
         digits = sys.get_int_max_str_digits()
         if digits == 0:
@@ -545,6 +541,13 @@ class TestSpecParsing:
         assert rc == 2
         assert "not valid JSON" in err
         assert "line" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        rc, _, err = run_cli(capsys, ["verify", "--spec", str(path)])
+        assert rc == 2
+        assert "not valid JSON" in err
 
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, ["reduce", "--spec", "/nonexistent/spec.json"])

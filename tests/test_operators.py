@@ -352,11 +352,18 @@ class TestLincomb:
     def test_every_producer_carries_its_values_in_its_int_form(self, value_lists, lower, data, origin):
         def check(e, reduced=False):
             den, ints = e.int_form()
-            values = e.values if isinstance(e, FiniteSequence) else e.coeffs
+            values = e.values
             assert type(den) is int and den > 0 and len(ints) == len(values)
             assert all(Fraction(a, den) == v for a, v in zip(ints, values))
             # a combination divides out gcd(D, *ints), so a zero result has D = 1
             assert not reduced or gcd(den, *ints) == 1
+            # the shared storage: one zero test, one equality and hash for both variants
+            assert e.is_zero() == all(v == 0 for v in values)
+            rebuilt = FiniteSequence(e.origin, values) if isinstance(e, FiniteSequence) else Polynomial(values)
+            assert rebuilt == e and hash(rebuilt) == hash(e)
+            if values:
+                poly, seq = Polynomial(values), FiniteSequence(e.origin or 0, values)
+                assert poly != seq and seq != poly
 
         def check_chain(e, reduced=False):
             # every operator power down to horizon 1 or the zero polynomial

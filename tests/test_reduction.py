@@ -312,7 +312,7 @@ class TestLemmaChecks:
             v = [random_rational(rng) for _ in range(n)]
             ac, mc = adjugate_coeffs(b), adjugate_coeffs_minors(b)
             assert all(lemma1_check(b, mc, k, v) for k in range(1, n + 1))
-            assert all(lemma2_check(ac, mc, k, v) for k in range(0, n))
+            assert all(lemma2_check(ac, mc, k) for k in range(0, n))
 
     def test_identity_case_both_sides(self):
         from opreduce.minors import delta_k, delta_vec
@@ -336,7 +336,7 @@ class TestLemmaChecks:
     def test_lemma2_range_checked(self, rng):
         b = random_matrix(rng, 2)
         with pytest.raises(IndexError):
-            lemma2_check(adjugate_coeffs(b), adjugate_coeffs_minors(b), 2, [1, 2])
+            lemma2_check(adjugate_coeffs(b), adjugate_coeffs_minors(b), 2)
 
     @staticmethod
     def perturbation_cases(rng):
@@ -363,7 +363,7 @@ class TestLemmaChecks:
                     for k in range(1, n + 1):
                         assert lemma1_check(b, bad, k, v) is (k not in (j, j + 1))
                     for k in range(n):
-                        assert lemma2_check(ac, bad, k, v) is (k != j)
+                        assert lemma2_check(ac, bad, k) is (k != j)
 
     def test_perturbed_char_poly_coefficient_is_caught(self, rng):
         # d_k enters Lemma 1 at order k only; Lemma 2 compares the B_k alone
@@ -376,4 +376,4 @@ class TestLemmaChecks:
                 bad = AdjugateCoeffs(mc.coeffs, CharPoly(tuple(d)))
                 for k in range(1, n + 1):
                     assert lemma1_check(b, bad, k, v) is (k != j)
-                assert all(lemma2_check(ac, bad, k, v) for k in range(n))
+                assert all(lemma2_check(ac, bad, k) for k in range(n))
