@@ -14,7 +14,9 @@ sums of `minors` (Lemma 2 of the paper): d_k = (-1)^k delta_k(B)
 (`char_poly_minors`), and row i of B_{k-1} is (-1)^(k-1) times the
 order-k linear functional anchored at column i (`adjugate_coeffs_minors`).
 Lemma 1 of the paper, read through Lemma 2, is the recurrence
-B_k = B_{k-1} B + d_k I on those coefficients.
+B_k = B_{k-1} B + d_k I on those coefficients.  `lemma1_check` tests it on
+whole matrices, cleared to ints, for any `AdjugateCoeffs`; its case k = n,
+where B_n = 0, is the Cayley-Hamilton theorem (`cayley_hamilton_check`).
 """
 
 from __future__ import annotations
@@ -118,17 +120,33 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
     return AdjugateCoeffs(tuple(coeffs), CharPoly(tuple(d)))
 
 
-def cayley_hamilton_check(b: Matrix, ac: AdjugateCoeffs) -> bool:
-    """True iff ``ac`` terminates the recurrence at zero, as the Cayley-Hamilton theorem demands.
+def lemma1_check(b: Matrix, ac: AdjugateCoeffs, k: int) -> bool:
+    """Exact identity: B_k = B_{k-1} B + d_k I on the whole coefficient matrices of ``ac``.
 
-    The residual B_{n-1} B + d_n I vanishes exactly when C M = -d_n D E I,
-    with B = M/D and B_{n-1} = C/E cleared over ints.
+    This is the paper's Lemma 1 multiplied by (-1)^k.  B_n is read as zero,
+    so at k = n it is the Cayley-Hamilton theorem; beyond order n it holds
+    trivially.  With B = M/D, B_{k-1} = C/E, and B_k and d_k cleared together
+    to K/F and g/F, it holds exactly when D E (K - g I) = F (C M) over ints.
     """
     n = b.n
     if ac.n != n:
         raise DimensionError(f"adjugate coefficients of order {ac.n} do not belong to a {n}x{n} matrix")
+    if k > n:
+        return True
+    dk = ac.cp.coefficient(k)
+    bk = ac.coeffs[k].rows() if k < n else [[0] * n] * n
+    f, cleared = clear_denominators([*bk, (dk,)])
+    g = cleared.pop()[0]
     den, m = clear_denominators(b.rows())
-    scale, c = clear_denominators(ac.coeffs[n - 1].rows())
-    target = -ac.cp.coefficient(n) * den * scale
-    prod = matmul_int(c, m)
-    return all(x == (target if r == col else 0) for r, row in enumerate(prod) for col, x in enumerate(row))
+    scale, c = clear_denominators(ac.coeffs[k - 1].rows())
+    scale *= den
+    return all(
+        scale * (x - (g if r == col else 0)) == f * y
+        for r, (row, prod_row) in enumerate(zip(cleared, matmul_int(c, m)))
+        for col, (x, y) in enumerate(zip(row, prod_row))
+    )
+
+
+def cayley_hamilton_check(b: Matrix, ac: AdjugateCoeffs) -> bool:
+    """True iff ``ac`` terminates the recurrence at zero, as the Cayley-Hamilton theorem demands."""
+    return lemma1_check(b, ac, b.n)

@@ -21,7 +21,9 @@ check, so the cross-check route evaluates no right-hand side, and the
 package treats any disagreement as a bug, never as noise.  Taking the zero
 operator collapses the machinery to Cramer's rule, which is exposed
 directly as `cramer_solve` and cross-checkable through the pipeline via
-`cramer_via_zero_reduction`.
+`cramer_via_zero_reduction`.  The identity checks of the oracle live here
+too: `lemma2_check` compares the two routes' coefficients, and
+`lemma1_check`, re-exported from `faddeev`, tests their recurrence.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, column_substitute, det, mat_vec
-from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors
+from .exactcore import Matrix, as_column, column_substitute, det
+from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors, lemma1_check
 from .operators import (
     ElementColumn,
     HorizonError,
@@ -132,22 +134,6 @@ def cramer_via_zero_reduction(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
     if dn == 0:
         raise SingularMatrixError("system matrix is singular (determinant zero)")
     return tuple(element.evaluate(0) / dn for element in reduced.rhs_evaluated)
-
-
-def lemma1_check(b: Matrix, mc: AdjugateCoeffs, k: int, v: Sequence) -> bool:
-    """Exact identity: B_k v = B_{k-1}(B v) + d_k v on the minor-route coefficients ``mc``.
-
-    This is the paper's Lemma 1 multiplied by (-1)^k, with B_n = 0; it holds
-    trivially beyond order n.
-    """
-    n = b.n
-    if k > n:
-        return True
-    dk = mc.cp.coefficient(k)
-    col = as_column(v)
-    lhs = mat_vec(mc.coeffs[k], col) if k < n else (Fraction(0),) * n
-    rhs = mat_vec(mc.coeffs[k - 1], mat_vec(b, col))
-    return lhs == tuple(x + dk * c for x, c in zip(rhs, col))
 
 
 def lemma2_check(ac: AdjugateCoeffs, mc: AdjugateCoeffs, k: int) -> bool:

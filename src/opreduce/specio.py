@@ -176,7 +176,7 @@ def load_spec(path: str) -> SystemSpec:
             data = json.load(handle)
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecError(f"spec file {path} is not valid JSON: {exc}") from None
     return parse_spec_dict(data)
 

@@ -133,6 +133,23 @@ class TestReduce:
         assert (rc, out, calls) == (2, "", [])
         assert err.startswith(f"error: cannot write report to {target}: ")
 
+    def test_out_may_name_the_spec_file(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes((DATA_DIR / "shift_2x2.json").read_bytes())
+        rc, out, err = run_cli(capsys, ["reduce", "--spec", str(spec), "--format", "json", "--out", str(spec)])
+        assert (rc, out, err) == (0, "", "")
+        assert json.loads(spec.read_text())["char_poly"] == ["-5", "-2"]
+
+    def test_bad_spec_leaves_the_out_file_alone(self, capsys, tmp_path):
+        spec = tmp_path / "broken.json"
+        spec.write_text('{"n": 2,', encoding="utf-8")
+        target = tmp_path / "report.txt"
+        target.write_text("earlier report\n", encoding="utf-8")
+        rc, _, err = run_cli(capsys, ["reduce", "--spec", str(spec), "--out", str(target)])
+        assert rc == 2
+        assert "not valid JSON" in err
+        assert target.read_text(encoding="utf-8") == "earlier report\n"
+
     def test_dimension_cap(self, capsys):
         rc, _, err = run_cli(
             capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--nmax", "1"]
@@ -408,8 +425,9 @@ class TestOracle:
 
     def test_each_route_is_built_once_per_trial(self, capsys, monkeypatch):
         # per trial: one adjugate_coeffs, one anchored table per order (for
-        # adjugate_coeffs_minors) and one delta_k per order (for char_poly_minors)
-        calls = {"table": [], "delta_k": [], "adjugate": []}
+        # adjugate_coeffs_minors) and one delta_k per order (for char_poly_minors);
+        # the checks compare whole matrices, so no column is ever multiplied
+        calls = {"table": [], "delta_k": [], "adjugate": [], "mat_vec": []}
 
         def counting(name, original):
             def counted(m, *rest):
@@ -421,11 +439,13 @@ class TestOracle:
         counting("table", minors._anchored_table)
         counting("delta_k", minors.delta_k)
         counting("adjugate", faddeev.adjugate_coeffs)
+        counting("mat_vec", exactcore.mat_vec)
         rc, _, _ = run_cli(capsys, ["oracle", "--nmin", "1", "--nmax", "4", "--trials", "8"])
         assert rc == 0
         sizes = [1, 2, 3, 4] * 2
         assert calls["table"] == calls["delta_k"] == [(n, k) for n in sizes for k in range(1, n + 1)]
         assert calls["adjugate"] == [(n,) for n in sizes]
+        assert calls["mat_vec"] == []
 
     def test_cap_and_range_validation(self, capsys):
         rc, _, err = run_cli(capsys, ["oracle", "--nmax", "13"])
@@ -542,12 +562,21 @@ class TestSpecParsing:
         assert "not valid JSON" in err
         assert "line" in err
 
-    def test_deeply_nested_json(self, capsys, tmp_path):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    @pytest.mark.parametrize(
+        "content",
+        [
+            ("[" * 100000 + "]" * 100000).encode(),
+            b"\xff\xfe",
+            b'{"origin": ' + b"7" * 5000 + b"}",
+        ],
+        ids=["deeply-nested", "not-utf-8", "over-digit-limit"],
+    )
+    def test_undecodable_spec_names_the_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
         rc, _, err = run_cli(capsys, ["verify", "--spec", str(path)])
         assert rc == 2
-        assert "not valid JSON" in err
+        assert f"spec file {path} is not valid JSON" in err
 
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, ["reduce", "--spec", "/nonexistent/spec.json"])

@@ -28,6 +28,7 @@ from opreduce.faddeev import (
     cayley_hamilton_check,
     char_poly,
     char_poly_minors,
+    lemma1_check,
 )
 from opreduce.minors import delta_vec
 from opreduce.operators import Polynomial
@@ -129,8 +130,12 @@ class TestAdjugateCoeffs:
 
     def test_cayley_hamilton_rejects_coefficients_of_another_order(self, rng):
         for n, other in ((2, 3), (3, 2), (1, 2), (4, 1)):
+            b, ac = random_matrix(rng, n), adjugate_coeffs(random_matrix(rng, other))
             with pytest.raises(DimensionError):
-                cayley_hamilton_check(random_matrix(rng, n), adjugate_coeffs(random_matrix(rng, other)))
+                cayley_hamilton_check(b, ac)
+            for k in range(1, max(n, other) + 2):
+                with pytest.raises(DimensionError):
+                    lemma1_check(b, ac, k)
 
     def test_coefficient_count_must_match_the_polynomial_order(self, rng):
         # n is read from the polynomial, so n matrices with a polynomial of
