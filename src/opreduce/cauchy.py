@@ -4,9 +4,10 @@ For the shift instantiation the system is a linear difference system, so it
 can be iterated directly from x(t0) = x0, t0 being the origin of the free
 column phi; the iterated trajectory is the independent oracle against which
 the reduced scalar equations and the derived initial conditions are checked
-(`solve_cauchy`).  Verification of a candidate solution compares
-residual elements to zero on the maximal window where every term is defined;
-a sequence residual carries that window as its origin and horizon.
+(`solve_cauchy`).  A candidate solution must fit B and share phi's element
+class and origin; verifying it compares residual elements to zero on the
+maximal window where every term is defined, and a sequence residual carries
+that window as its origin and horizon.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exactcore import Matrix, as_column, clear_denominators, matmul_int
+from .exactcore import Matrix, as_column, clear_denominators, conform, matmul_int
 from .operators import (
     ElementColumn,
     FiniteSequence,
@@ -42,6 +43,16 @@ class VerificationReport:
         return self.route_agreement and all(r.is_zero() for r in self.residuals)
 
 
+def _shift_problem(b: Matrix, phi: ElementColumn, x0) -> tuple[int, int, list[list[int]], tuple[Fraction, ...]]:
+    """``(n, D, M, x0)`` for a shift problem: phi is a sequence column, phi and x0 fit B = M/D."""
+    n = b.n
+    if not isinstance(conform(n, phi, "free column")[0], FiniteSequence):
+        raise ValueError("the shift problem needs a sequence free column")
+    start = conform(n, as_column(x0), "initial column")
+    den, m = clear_denominators(b.rows())
+    return n, den, m, start
+
+
 def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> ElementColumn:
     """Iterate x(t+1) = B x(t) + phi(t) exactly from x(t0) = x0.
 
@@ -52,20 +63,12 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     Each trajectory is born with its integer form over L, the lcm of the
     S(t): value t is X(t) (L / S(t)) over L.
     """
-    n = b.n
-    if phi.variant != "sequence":
-        raise ValueError("difference iteration needs a sequence free column")
-    if len(phi) != n:
-        raise ValueError(f"free column has {len(phi)} entries, expected {n}")
-    start = as_column(x0)
-    if len(start) != n:
-        raise ValueError(f"initial column has {len(start)} entries, expected {n}")
+    n, den, m, start = _shift_problem(b, phi, x0)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if phi.entries[0].horizon < steps:
         raise HorizonError(f"free column horizon {phi.entries[0].horizon} < steps {steps}")
     t0 = phi.entries[0].origin
-    den, m = clear_denominators(b.rows())
     scale, (x,) = clear_denominators([start])
     forms = [entry.int_form() for entry in phi.entries]
     q = lcm(*(d for d, _ in forms))
@@ -99,17 +102,9 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
     is (M^j X + sum_k D^(k+1) M^(j-1-k) P_k) / (D^j S) over ints; each power
     M^j is computed once.
     """
-    n = b.n
-    if phi.variant != "sequence":
-        raise ValueError("derived initial conditions need a sequence free column")
-    if len(phi) != n:
-        raise ValueError(f"free column has {len(phi)} entries, expected {n}")
-    start = as_column(x0)
-    if len(start) != n:
-        raise ValueError(f"initial column has {len(start)} entries, expected {n}")
+    n, den, m, start = _shift_problem(b, phi, x0)
     if phi.entries[0].horizon < n - 1:
         raise HorizonError(f"free column horizon {phi.entries[0].horizon} too short for power {n - 1}")
-    den, m = clear_denominators(b.rows())
     phi_at_t0 = ([entry.values[k] for entry in phi.entries] for k in range(n - 1))
     scale, (x, *p) = clear_denominators([start, *phi_at_t0])
     powers = [[[int(r == c) for c in range(n)] for r in range(n)]]
@@ -131,8 +126,7 @@ def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> Ele
     Row i of the scalars is [e_i | -(row i of B)] over the elements (A(x), x).
     """
     n = b.n
-    if len(x) != n:
-        raise HeterogeneousColumnError(f"matrix of order {n} cannot act on a column of length {len(x)}")
+    conform(n, x, "solution column")
     scalar_rows = [[int(i == j) for j in range(n)] + [-c for c in row] for i, row in enumerate(b.rows())]
     return ElementColumn(lincomb(scalar_rows, (*apply_vector(kind, x), *x)))
 
@@ -146,11 +140,9 @@ def verify_total_reduction(
     exactly, and evaluates the per-variable residuals against the
     adjugate-route right-hand side, the only one evaluated.
     """
-    n = b.n
-    if len(x) != n:
-        raise ValueError(f"candidate column has {len(x)} entries, expected {n}")
-    if x.variant != phi.variant:
-        raise ValueError("candidate and free columns must share a variant")
+    candidate, free = conform(b.n, x, "candidate column")[0], phi[0]
+    if type(candidate) is not type(free) or candidate.origin != free.origin:
+        raise HeterogeneousColumnError("candidate and free columns must share a variant and an origin")
     reduced = total_reduce_adjugate(b, phi, kind)
     agreement = reduced == total_reduce_minors(b, phi, kind)
     residuals = tuple(

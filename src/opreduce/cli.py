@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: reduce, solve, cramer, oracle, verify.  Each ``cmd_*`` computes
-a report payload and whether its identities held, and nothing else; `main`
-loads the spec, opens the report stream, renders the payload as JSON
-(machine) or text (human), writes it and picks the exit code.  All numbers
-are rational literal strings in both formats.  Exit codes: 0 success, 2
-input error, 3 mathematical degeneracy (singular matrix), 4 identity-suite
-failure.
+a report payload and whether its identities held, and nothing else; its
+parser registers it beside its text renderer.  `main` loads the spec, opens
+the report stream, renders the payload as JSON (machine) or text (human),
+writes it and picks the exit code.  All numbers are rational literal strings
+in both formats.  Exit codes: 0 success, 2 input error, 3 mathematical
+degeneracy (singular matrix), 4 identity-suite failure.
 """
 
 from __future__ import annotations
@@ -140,15 +140,6 @@ def _oracle_text(payload: dict) -> str:
 def _verify_text(payload: dict) -> str:
     lines = [f"verification of candidate solution, n = {payload['n']}"]
     return "\n".join(lines + _residual_lines(payload, payload["residuals"], [])) + "\n"
-
-
-_TEXT = {
-    "reduce": _reduce_text,
-    "solve": _solve_text,
-    "cramer": _cramer_text,
-    "oracle": _oracle_text,
-    "verify": _verify_text,
-}
 
 
 @contextmanager
@@ -341,16 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="emit the totally reduced system (both routes)")
     add_common(p_reduce)
-    p_reduce.set_defaults(func=cmd_reduce)
+    p_reduce.set_defaults(func=cmd_reduce, text=_reduce_text)
 
     p_solve = sub.add_parser("solve", help="iterate a shift-kind system and verify the reduction")
     add_common(p_solve)
     p_solve.add_argument("--horizon", type=int, default=None, help="trajectory length override")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, text=_solve_text)
 
     p_cramer = sub.add_parser("cramer", help="solve B x + phi = 0 for a zero-operator spec")
     add_common(p_cramer)
-    p_cramer.set_defaults(func=cmd_cramer)
+    p_cramer.set_defaults(func=cmd_cramer, text=_cramer_text)
 
     p_oracle = sub.add_parser("oracle", help="run randomized identity suites")
     add_common(p_oracle, needs_spec=False)
@@ -359,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--nmin", type=int, default=1)
     p_oracle.add_argument("--nmax", type=int, default=6)
     p_oracle.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_oracle, text=_oracle_text)
 
     p_verify = sub.add_parser("verify", help="check a candidate solution against the reduced system")
     add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, text=_verify_text)
 
     return parser
 
@@ -386,7 +377,7 @@ def _report(args) -> bool:
         operands.append(spec)
     with _report_stream(args.out) as stream, _no_int_str_digit_limit():
         payload, ok = args.func(*operands)
-        body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else _TEXT[args.command](payload)
+        body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else args.text(payload)
         try:
             stream.write(body)
             stream.flush()
@@ -399,9 +390,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return EXIT_OK if _report(args) else EXIT_IDENTITY
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SingularMatrixError:
         print("error: det(B) = 0, system matrix is singular", file=sys.stderr)
         return EXIT_SINGULAR

@@ -19,17 +19,24 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 class DimensionError(ValueError):
     """Matrix/vector shapes do not conform."""
 
 
+def conform(n: int, column, what: str):
+    """``column`` itself if it has n entries; else `DimensionError` naming ``what``."""
+    if len(column) != n:
+        raise DimensionError(f"{what} has {len(column)} entries, expected {n}")
+    return column
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: optional sign, integer, optional '/denominator'.
 
-    Accepts e.g. ``"5"``, ``"-3/7"``.  Float syntax is rejected.
+    Accepts e.g. ``"5"``, ``"-3/7"``, in ASCII digits only.  Float syntax is rejected.
     """
     text = text.strip()
     if not _RATIONAL_RE.match(text):
@@ -99,9 +106,7 @@ def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
     """Replace column i (1-based) with the column v; all other entries unchanged."""
     if not 1 <= i <= m.n:
         raise IndexError(f"column {i} out of range")
-    col = as_column(v)
-    if len(col) != m.n:
-        raise DimensionError(f"substituted column has {len(col)} entries, expected {m.n}")
+    col = conform(m.n, as_column(v), "substituted column")
     return Matrix(
         row[: i - 1] + (col[r],) + row[i:] for r, row in enumerate(m.rows())
     )
@@ -109,9 +114,7 @@ def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
     """Matrix times column vector: m and v are cleared once each, one integer dot product per row."""
-    col = as_column(v)
-    if len(col) != m.n:
-        raise DimensionError(f"vector of length {len(col)} does not conform to {m.n}x{m.n}")
+    col = conform(m.n, as_column(v), "vector")
     den, rows = clear_denominators(m.rows())
     vden, (ints,) = clear_denominators([col])
     scale = den * vden

@@ -1,10 +1,10 @@
 """Principal-minor sums by brute-force enumeration.
 
 ``delta_k(M)`` sums all order-k principal minors of M.  ``delta_k_i(M, i, v)``
-substitutes v into column i first and then sums the order-k principal minors
-whose index set contains i.  Enumeration is exponential by design: this module
-is the specification-by-enumeration that every polynomial-time route in the
-package is checked against.
+substitutes v into column i first (`exactcore.column_substitute`) and then
+sums the order-k principal minors whose index set contains i.  Enumeration
+is exponential by design: this module is the specification-by-enumeration
+that every polynomial-time route in the package is checked against.
 
 Each function clears denominators once per call (M = D*m, all entries
 ints, `exactcore.clear_denominators`), works on the integer principal
@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, clear_denominators, det, det_int, mat_vec
+from .exactcore import Matrix, clear_denominators, column_substitute, det, det_int, mat_vec
 
 
 def _principal_minor(rows: list[list[int]], subset: Sequence[int]) -> int:
@@ -67,20 +67,15 @@ def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
 
     Column index i is 1-based.  Returns 0 for k > n.
     """
-    n = m.n
     if k < 1:
         raise ValueError("minor order must be >= 1")
-    if not 1 <= i <= n:
-        raise IndexError(f"column {i} out of range for dimension {n}")
-    col = as_column(v)
-    if len(col) != n:
-        raise ValueError(f"substituted column has {len(col)} entries, expected {n}")
-    if k > n:
+    substituted = column_substitute(m, i, v)
+    if k > m.n:
         return Fraction(0)
-    den, rows = clear_denominators([row[: i - 1] + (c,) + row[i:] for row, c in zip(m.rows(), col)])
+    den, rows = clear_denominators(substituted.rows())
     anchor = i - 1
     total = sum(
-        _principal_minor(rows, subset) for subset in combinations(range(n), k) if anchor in subset
+        _principal_minor(rows, subset) for subset in combinations(range(m.n), k) if anchor in subset
     )
     return Fraction(total, den**k)
 

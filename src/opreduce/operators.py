@@ -172,8 +172,8 @@ class FiniteSequence(OperatorElement):
 class ElementColumn:
     """Homogeneous column of operator elements.
 
-    All entries must share a variant, and sequence entries must share origin
-    and horizon.
+    All entries must share an element class, and sequence entries must share
+    origin and horizon.
     """
 
     __slots__ = ("entries",)
@@ -191,10 +191,6 @@ class ElementColumn:
             if e.origin != first.origin or (isinstance(e, FiniteSequence) and e.horizon != first.horizon):
                 raise HeterogeneousColumnError("sequence column entries must share origin and horizon")
         self.entries = items
-
-    @property
-    def variant(self) -> str:
-        return "sequence" if isinstance(self.entries[0], FiniteSequence) else "polynomial"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -215,19 +211,24 @@ class ElementColumn:
         return f"ElementColumn({list(self.entries)!r})"
 
 
+def check_acts_on(kind: OperatorKind, e: OperatorElement) -> None:
+    """The operator's domain: the shift acts on sequences, the derivative on polynomials, zero on both."""
+    if kind is OperatorKind.SHIFT and not isinstance(e, FiniteSequence):
+        raise TypeError("shift operator acts on sequences")
+    if kind is OperatorKind.DERIVATIVE and not isinstance(e, Polynomial):
+        raise TypeError("derivative operator acts on polynomials")
+    if not isinstance(kind, OperatorKind):
+        raise ValueError(f"unknown operator kind {kind!r}")
+
+
 def apply(kind: OperatorKind, e: OperatorElement) -> OperatorElement:
     """One application of the operator to an element."""
-    if kind is OperatorKind.ZERO:
-        return 0 * e
+    check_acts_on(kind, e)
     if kind is OperatorKind.SHIFT:
-        if not isinstance(e, FiniteSequence):
-            raise TypeError("shift operator acts on sequences")
         return e.shift()
     if kind is OperatorKind.DERIVATIVE:
-        if not isinstance(e, Polynomial):
-            raise TypeError("derivative operator acts on polynomials")
         return e.derivative()
-    raise ValueError(f"unknown operator kind {kind!r}")
+    return 0 * e
 
 
 def apply_vector(kind: OperatorKind, col: ElementColumn) -> ElementColumn:

@@ -15,6 +15,8 @@ The two routes differ only in how they obtain the `AdjugateCoeffs`:
   the free column substituted there and expanded along column i, and p from
   principal-minor sums (`faddeev.adjugate_coeffs_minors`).
 
+Both routes first check that phi fits B and that the operator acts on it
+(`operators.check_acts_on`), before any coefficient is computed.
 The scalars come from two independent computations, so the two reductions
 must be equal, coefficient by coefficient; `ReducedSystem` equality is that
 check, so the cross-check route evaluates no right-hand side, and the
@@ -33,14 +35,16 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .exactcore import Matrix, as_column, column_substitute, det
+from .exactcore import DimensionError, Matrix, as_column, column_substitute, conform, det
 from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors, lemma1_check
 from .operators import (
     ElementColumn,
+    FiniteSequence,
     HorizonError,
     OperatorKind,
     Polynomial,
     apply_vector,
+    check_acts_on,
     lincomb,
 )
 
@@ -79,14 +83,13 @@ class ReducedSystem:
         return ElementColumn(lincomb(scalar_rows, elements))
 
 
-def _check_system(b: Matrix, phi: ElementColumn) -> None:
+def _check_system(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> None:
+    """phi fits B, the operator acts on it, and a sequence phi outlasts n applications."""
     n = b.n
-    if len(phi) != n:
-        raise ValueError(f"free column has {len(phi)} entries, expected {n}")
-    if phi.variant == "sequence":
-        horizon = phi.entries[0].horizon
-        if horizon <= n:
-            raise HorizonError(f"reduction of an order-{n} system needs horizon > {n}, got {horizon}")
+    first = conform(n, phi, "free column")[0]
+    check_acts_on(kind, first)
+    if isinstance(first, FiniteSequence) and first.horizon <= n:
+        raise HorizonError(f"reduction of an order-{n} system needs horizon > {n}, got {first.horizon}")
 
 
 def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[ElementColumn]:
@@ -99,22 +102,20 @@ def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[Ele
 
 def total_reduce_minors(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via anchored principal-minor sums of the substituted free column."""
-    _check_system(b, phi)
+    _check_system(b, phi, kind)
     return ReducedSystem(adjugate_coeffs_minors(b), phi, kind)
 
 
 def total_reduce_adjugate(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> ReducedSystem:
     """Reduce via the adjugate coefficient matrices (production route)."""
-    _check_system(b, phi)
+    _check_system(b, phi, kind)
     return ReducedSystem(adjugate_coeffs(b), phi, kind)
 
 
 def cramer_solve(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
     """Solve B x + phi = 0 by column substitution: x_i = -det(B with phi in column i)/det(B)."""
     n = b.n
-    col = as_column(phi)
-    if len(col) != n:
-        raise ValueError(f"free column has {len(col)} entries, expected {n}")
+    col = conform(n, as_column(phi), "free column")
     d = det(b)
     if d == 0:
         raise SingularMatrixError("system matrix is singular (determinant zero)")
@@ -138,6 +139,8 @@ def cramer_via_zero_reduction(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
 
 def lemma2_check(ac: AdjugateCoeffs, mc: AdjugateCoeffs, k: int) -> bool:
     """Exact identity: B_k from the trace recurrence ``ac`` equals B_k from the minors ``mc``."""
+    if ac.n != mc.n:
+        raise DimensionError(f"adjugate coefficients of orders {ac.n} and {mc.n} cannot be compared")
     if not 0 <= k <= ac.n - 1:
         raise IndexError(f"adjugate coefficient index {k} out of range 0..{ac.n - 1}")
     return ac.coeffs[k] == mc.coeffs[k]

@@ -22,7 +22,7 @@ from opreduce.cauchy import (
     solve_cauchy,
     verify_total_reduction,
 )
-from opreduce.exactcore import Matrix, clear_denominators, identity, mat_vec
+from opreduce.exactcore import DimensionError, Matrix, clear_denominators, identity, mat_vec
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
@@ -274,7 +274,7 @@ class TestManufactureSolution:
     def test_column_longer_than_n_rejected(self, rng):
         # without the check, pairing rows of B with A(x) would drop x_3 silently
         x = random_sequence_column(rng, 3, horizon=5)
-        with pytest.raises(HeterogeneousColumnError):
+        with pytest.raises(DimensionError, match="solution column has 3 entries, expected 2"):
             manufacture_solution(identity(2), x, SHIFT)
 
 
@@ -345,6 +345,11 @@ class TestVerifyTotalReduction:
         phi = ElementColumn([Polynomial([1]), Polynomial([2])])
         with pytest.raises(ValueError):
             verify_total_reduction(b, x, phi, SHIFT)
+        # a candidate at another origin is named as such, not found deep inside a combination
+        phi = manufacture_solution(b, x, SHIFT)
+        moved = ElementColumn(FiniteSequence(1, entry.values) for entry in x)
+        with pytest.raises(HeterogeneousColumnError, match="must share a variant and an origin"):
+            verify_total_reduction(b, moved, phi, SHIFT)
 
 
 class TestSolveCauchy:

@@ -458,7 +458,7 @@ class TestOracle:
 
 
 class TestVerify:
-    def build_spec(self, tmp_path, perturb=False):
+    def build_spec(self, tmp_path, perturb=False, x_origin=0):
         b = Matrix([[1, 2], [3, 4]])
         x = ElementColumn([FiniteSequence(0, [1, 0, 2, 5, 3, 1, 4]), FiniteSequence(0, [2, 1, 0, 1, 2, 0, 1])])
         phi = manufacture_solution(b, x, OperatorKind.SHIFT)
@@ -474,7 +474,7 @@ class TestVerify:
                 for entry in phi
             ],
             "x": [
-                {"origin": 0, "values": list(map(str, values))}
+                {"origin": x_origin, "values": list(map(str, values))}
                 for values in x_values
             ],
         }
@@ -499,10 +499,14 @@ class TestVerify:
         assert report["all_zero"] is False
         assert any(not block["is_zero"] for block in report["residuals"])
 
-    def test_missing_candidate(self, capsys):
+    def test_missing_candidate(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, ["verify", "--spec", str(DATA_DIR / "shift_2x2.json")])
         assert rc == 2
         assert "x" in err
+        # a candidate at another origin than phi is an input error too, named as such
+        rc, out, err = run_cli(capsys, ["verify", "--spec", self.build_spec(tmp_path, x_origin=1)])
+        assert (rc, out) == (2, "")
+        assert err == "error: candidate and free columns must share a variant and an origin\n"
 
 
 class TestCrossCheck:
@@ -592,6 +596,14 @@ class TestSpecParsing:
                 "operator": "zero",
                 "phi": ["0", "0"],
             },
+        )
+        rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
+        assert rc == 2
+        assert "matrix[0][1]" in err
+        # an Arabic-Indic three is a Unicode decimal digit, but not a rational literal
+        spec = write_spec(
+            tmp_path,
+            {"n": 2, "matrix": [["1", "\u0663"], ["3", "4"]], "operator": "zero", "phi": ["0", "0"]},
         )
         rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
         assert rc == 2

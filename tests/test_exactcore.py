@@ -34,7 +34,7 @@ class TestRationalLiterals:
         assert parse_rational("+2/4") == Fraction(1, 2)
         assert parse_rational(" 9 ") == Fraction(9)
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "3/-4", "1e3", "a", "1/2/3", "--1"])
+    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "3/-4", "1e3", "a", "1/2/3", "--1", "\u0663", "\uff13/2", "1/\u0662"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -32,6 +32,7 @@ from opreduce.faddeev import (
 )
 from opreduce.minors import delta_vec
 from opreduce.operators import Polynomial
+from opreduce.reduction import lemma2_check
 
 
 class TestCharPoly:
@@ -136,6 +137,9 @@ class TestAdjugateCoeffs:
             for k in range(1, max(n, other) + 2):
                 with pytest.raises(DimensionError):
                     lemma1_check(b, ac, k)
+            for k in range(n):
+                with pytest.raises(DimensionError, match=f"orders {n} and {other}"):
+                    lemma2_check(adjugate_coeffs(b), ac, k)
 
     def test_coefficient_count_must_match_the_polynomial_order(self, rng):
         # n is read from the polynomial, so n matrices with a polynomial of

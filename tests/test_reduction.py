@@ -18,7 +18,7 @@ from conftest import (
 )
 from opreduce import reduction
 from opreduce.cauchy import manufacture_solution, verify_total_reduction
-from opreduce.exactcore import Matrix, identity, mat_vec, parse_rational
+from opreduce.exactcore import DimensionError, Matrix, identity, mat_vec, parse_rational
 from opreduce.faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors
 from opreduce.minors import delta_k_i
 from opreduce.specio import reduced_to_json
@@ -269,11 +269,24 @@ class TestValidation:
         with pytest.raises(HorizonError):
             total_reduce_minors(b, phi, SHIFT)
 
-    def test_column_length_checked(self, rng):
+    def test_column_length_checked(self, rng, monkeypatch):
+        # the column's length and the operator's domain are checked on entry, before
+        # either route computes a coefficient
+        def no_coefficients(b):
+            raise AssertionError("coefficients computed for a column the system rejects")
+
+        monkeypatch.setattr(reduction, "adjugate_coeffs", no_coefficients)
+        monkeypatch.setattr(reduction, "adjugate_coeffs_minors", no_coefficients)
         b = random_matrix(rng, 3)
-        phi = random_polynomial_column(rng, 2)
-        with pytest.raises(ValueError):
-            total_reduce_adjugate(b, phi, DERIV)
+        cases = (
+            (random_polynomial_column(rng, 2), DERIV, DimensionError, "free column has 2 entries, expected 3"),
+            (random_polynomial_column(rng, 3), SHIFT, TypeError, "shift operator acts on sequences"),
+            (random_sequence_column(rng, 3, horizon=5), DERIV, TypeError, "derivative operator acts on polynomials"),
+        )
+        for phi, kind, error, message in cases:
+            for route in (total_reduce_adjugate, total_reduce_minors):
+                with pytest.raises(error, match=message):
+                    route(b, phi, kind)
 
 
 class TestCramer:
