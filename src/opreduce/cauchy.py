@@ -49,7 +49,7 @@ def _shift_problem(b: Matrix, phi: ElementColumn, x0) -> tuple[int, int, list[li
     if not isinstance(conform(n, phi, "free column")[0], FiniteSequence):
         raise ValueError("the shift problem needs a sequence free column")
     start = conform(n, as_column(x0), "initial column")
-    den, m = clear_denominators(b.rows())
+    den, m = b.int_form()
     return n, den, m, start
 
 

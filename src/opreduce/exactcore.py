@@ -4,9 +4,14 @@ Everything in the reduction pipeline is built on arbitrary-precision
 rationals; no floating point is accepted anywhere.  Scalars are
 ``fractions.Fraction`` values, which are always kept in canonical form
 (positive denominator, gcd 1, zero as 0/1).  Matrices are immutable and
-dense and square, with exact determinants.  `Matrix` has no arithmetic
-operators: products run on integer rows, cleared once by
-`clear_denominators`, through `matmul_int` and `mat_vec`.
+dense and square, with exact determinants.  A `Matrix` carries its integer
+form ``(D, rows)``, D the lcm of the entry denominators, fixed at birth and
+read through `Matrix.int_form`; determinants, products (`matmul_int`,
+`mat_vec`), equality and hashing read that form, so no consumer clears a
+matrix again.  A producer that has the form already (the adjugate
+coefficients, the anchored minor tables) hands it to `_born_matrix`, and
+the `Fraction` rows are built only when `Matrix.rows` is first read.
+`Matrix` has no arithmetic operators.
 
 Row/column index arguments on the public surface are 1-based.
 """
@@ -15,11 +20,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+_ASCII_SPACE = " \t\n\r\v\f"
 
 
 class DimensionError(ValueError):
@@ -36,9 +43,10 @@ def conform(n: int, column, what: str):
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: optional sign, integer, optional '/denominator'.
 
-    Accepts e.g. ``"5"``, ``"-3/7"``, in ASCII digits only.  Float syntax is rejected.
+    Accepts e.g. ``"5"``, ``"-3/7"``, in ASCII digits only, trimmed of ASCII
+    whitespace only.  Float syntax is rejected.
     """
-    text = text.strip()
+    text = text.strip(_ASCII_SPACE)
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"invalid rational literal {text!r}")
     if "/" in text:
@@ -68,38 +76,69 @@ def as_column(values: Iterable) -> tuple[Fraction, ...]:
 
 
 class Matrix:
-    """Immutable dense square matrix over the rationals."""
+    """Immutable dense square matrix over the rationals, carrying its integer form.
 
-    __slots__ = ("_rows",)
+    The form ``(D, rows)`` is canonical: D > 0 is the lcm of the entry
+    denominators, so gcd(D, *entries) is 1, and two matrices are equal
+    exactly when their forms are.  ``Matrix(rows)`` coerces and clears its
+    input once; `_born_matrix` builds a matrix from a form it trusts.
+    """
+
+    __slots__ = ("_rows", "_form")
 
     def __init__(self, rows: Iterable[Iterable]):
         data = tuple(tuple(as_rational(x) for x in row) for row in rows)
         if not data or any(len(row) != len(data) for row in data):
             raise DimensionError("matrix must be n x n with n >= 1")
         self._rows = data
+        self._form = clear_denominators(data)
 
     @property
     def n(self) -> int:
-        return len(self._rows)
+        return len(self._form[1])
+
+    def int_form(self) -> tuple[int, list[list[int]]]:
+        """``(D, rows)`` with ``Fraction(rows[r][c], D)`` equal to entry (r, c), fixed at birth."""
+        return self._form
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as `Fraction` rows, built from the integer form when first read."""
+        if self._rows is None:
+            den, ints = self._form
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in ints)
         return self._rows
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._rows == other._rows
+        return isinstance(other, Matrix) and self._form == other._form
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        den, ints = self._form
+        return hash((den, tuple(map(tuple, ints))))
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self._rows)
+        body = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.rows())
         return f"Matrix([{body}])"
 
 
+def _born_matrix(den: int, rows: list[list[int]]) -> Matrix:
+    """The matrix rows / den, its form reduced once by gcd(den, *entries).
+
+    The trusted constructor: den > 0 and the square rows of ints (lists, as
+    in every form) are taken unchecked, and the caller must not change them.
+    """
+    g = gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        den //= g
+        rows = [[x // g for x in row] for row in rows]
+    m = object.__new__(Matrix)
+    m._rows, m._form = None, (den, rows)
+    return m
+
+
 def identity(n: int) -> Matrix:
-    return Matrix(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    if n < 1:
+        raise DimensionError("matrix must be n x n with n >= 1")
+    return _born_matrix(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
@@ -107,15 +146,20 @@ def column_substitute(m: Matrix, i: int, v: Sequence) -> Matrix:
     if not 1 <= i <= m.n:
         raise IndexError(f"column {i} out of range")
     col = conform(m.n, as_column(v), "substituted column")
-    return Matrix(
-        row[: i - 1] + (col[r],) + row[i:] for r, row in enumerate(m.rows())
-    )
+    den, rows = m.int_form()
+    vden, (ints,) = clear_denominators([col])
+    common = lcm(den, vden)
+    f, g = common // den, common // vden
+    substituted = [[x * f for x in row] for row in rows]
+    for row, c in zip(substituted, ints):
+        row[i - 1] = c * g
+    return _born_matrix(common, substituted)
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
-    """Matrix times column vector: m and v are cleared once each, one integer dot product per row."""
+    """Matrix times column vector: m's integer form and v, cleared once, give one integer dot product per row."""
     col = conform(m.n, as_column(v), "vector")
-    den, rows = clear_denominators(m.rows())
+    den, rows = m.int_form()
     vden, (ints,) = clear_denominators([col])
     scale = den * vden
     return tuple(Fraction(sum(map(mul, row, ints)), scale) for row in rows)
@@ -171,7 +215,6 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant: the integer kernel on D*m, scaled back once by D^n."""
-    n = m.n
-    den, rows = clear_denominators(m.rows())
-    return Fraction(det_int(rows), den**n)
+    """Exact determinant: the integer kernel on m's integer form D*m, scaled back once by D^n."""
+    den, rows = m.int_form()
+    return Fraction(det_int(rows), den**m.n)

@@ -3,11 +3,11 @@
 The production route interleaves the trace formula d_k = -trace(B_{k-1} B)/k
 with the recurrence B_k = B_{k-1} B + d_k I, giving all coefficients of
 det(lambda*I - B) and of adj(lambda*I - B) in O(n^4) exact operations.  It
-runs over Python ints: denominators are cleared once (B = M/D), the
+runs over Python ints: it reads the integer form of B (B = M/D), the
 recurrence works on the integer matrix M, where the division by k is exact,
-and the results are scaled back by D^k.  The division by k makes this route
-sensitive to the field characteristic, which is one reason the brute-force
-minor route stays available as an oracle.
+and each B_k is born from its integer form over D^k.  The division by k
+makes this route sensitive to the field characteristic, which is one reason
+the brute-force minor route stays available as an oracle.
 
 The oracle route builds the same `AdjugateCoeffs` from principal-minor
 sums of `minors` (Lemma 2 of the paper): d_k = (-1)^k delta_k(B)
@@ -15,17 +15,16 @@ sums of `minors` (Lemma 2 of the paper): d_k = (-1)^k delta_k(B)
 order-k linear functional anchored at column i (`adjugate_coeffs_minors`).
 Lemma 1 of the paper, read through Lemma 2, is the recurrence
 B_k = B_{k-1} B + d_k I on those coefficients.  `lemma1_check` tests it on
-whole matrices, cleared to ints, for any `AdjugateCoeffs`; its case k = n,
-where B_n = 0, is the Cayley-Hamilton theorem (`cayley_hamilton_check`).
+the integer forms of the whole matrices, for any `AdjugateCoeffs`; its case
+k = n, where B_n = 0, is the Cayley-Hamilton theorem (`cayley_hamilton_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exactcore import DimensionError, Matrix, clear_denominators, identity, matmul_int
+from .exactcore import DimensionError, Matrix, _born_matrix, identity, matmul_int
 from .minors import delta_k, delta_k_i_coeffs
 
 
@@ -64,6 +63,9 @@ class AdjugateCoeffs:
     def __post_init__(self):
         if len(self.coeffs) != self.cp.n:
             raise ValueError("adjugate expansion needs exactly n matrix coefficients")
+        if any(m.n != self.cp.n for m in self.coeffs):
+            n = self.cp.n
+            raise DimensionError(f"adjugate coefficients of order {n} must be {n}x{n}")
 
     @property
     def n(self) -> int:
@@ -80,14 +82,17 @@ def char_poly_minors(b: Matrix) -> CharPoly:
     return CharPoly(tuple((-1) ** k * delta_k(b, k) for k in range(1, b.n + 1)))
 
 
-def _signed(k: int, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """(-1)^(k-1) * row, by negation, which needs no gcd."""
-    return tuple(row) if k % 2 else tuple(-c for c in row)
+def _signed(k: int, m: Matrix) -> Matrix:
+    """(-1)^(k-1) * m, by negating its integer form, which keeps the form canonical."""
+    if k % 2:
+        return m
+    den, rows = m.int_form()
+    return _born_matrix(den, [[-c for c in row] for row in rows])
 
 
 def adjugate_coeffs_minors(b: Matrix) -> AdjugateCoeffs:
     """Oracle route: row i of B_{k-1} is (-1)^(k-1) times the order-k functional anchored at i."""
-    coeffs = tuple(Matrix(_signed(k, row) for row in delta_k_i_coeffs(b, k)) for k in range(1, b.n + 1))
+    coeffs = tuple(_signed(k, delta_k_i_coeffs(b, k)) for k in range(1, b.n + 1))
     return AdjugateCoeffs(coeffs, char_poly_minors(b))
 
 
@@ -96,11 +101,12 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
 
     With B = M/D, D the lcm of the entry denominators, the recurrence
     C_k = C_{k-1} M + c_k I, c_k = -trace(C_{k-1} M)/k runs over ints; then
-    d_k = c_k/D^k and B_k = C_k/D^k.  For an integer matrix the trace is an
-    exact multiple of k, so a nonzero remainder raises `RecurrenceError`.
+    d_k = c_k/D^k, and B_k is born from its integer form C_k over D^k.  For an
+    integer matrix the trace is an exact multiple of k, so a nonzero
+    remainder raises `RecurrenceError`.
     """
     n = b.n
-    den, m = clear_denominators(b.rows())
+    den, m = b.int_form()
     d: list[Fraction] = []
     coeffs: list[Matrix] = [identity(n)]
     c_rows = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -116,7 +122,7 @@ def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
             for i in range(n):
                 prod[i][i] += ck
             c_rows = prod
-            coeffs.append(Matrix(tuple(Fraction(x, scale) for x in row) for row in prod))
+            coeffs.append(_born_matrix(scale, prod))
     return AdjugateCoeffs(tuple(coeffs), CharPoly(tuple(d)))
 
 
@@ -125,8 +131,9 @@ def lemma1_check(b: Matrix, ac: AdjugateCoeffs, k: int) -> bool:
 
     This is the paper's Lemma 1 multiplied by (-1)^k.  B_n is read as zero,
     so at k = n it is the Cayley-Hamilton theorem; beyond order n it holds
-    trivially.  With B = M/D, B_{k-1} = C/E, and B_k and d_k cleared together
-    to K/F and g/F, it holds exactly when D E (K - g I) = F (C M) over ints.
+    trivially.  It reads the integer forms B = M/D, B_{k-1} = C/E and
+    B_k = K/F, with d_k = p/q, and holds exactly when
+    D E (q K - F p I) = F q (C M) over ints.
     """
     n = b.n
     if ac.n != n:
@@ -134,15 +141,14 @@ def lemma1_check(b: Matrix, ac: AdjugateCoeffs, k: int) -> bool:
     if k > n:
         return True
     dk = ac.cp.coefficient(k)
-    bk = ac.coeffs[k].rows() if k < n else [[0] * n] * n
-    f, cleared = clear_denominators([*bk, (dk,)])
-    g = cleared.pop()[0]
-    den, m = clear_denominators(b.rows())
-    scale, c = clear_denominators(ac.coeffs[k - 1].rows())
-    scale *= den
+    p, q = dk.numerator, dk.denominator
+    den, m = b.int_form()
+    e, c = ac.coeffs[k - 1].int_form()
+    f, big_k = ac.coeffs[k].int_form() if k < n else (1, [[0] * n] * n)
+    left, right, shift = den * e, f * q, f * p
     return all(
-        scale * (x - (g if r == col else 0)) == f * y
-        for r, (row, prod_row) in enumerate(zip(cleared, matmul_int(c, m)))
+        left * (q * x - (shift if r == col else 0)) == right * y
+        for r, (row, prod_row) in enumerate(zip(big_k, matmul_int(c, m)))
         for col, (x, y) in enumerate(zip(row, prod_row))
     )
 

@@ -6,28 +6,30 @@ sums the order-k principal minors whose index set contains i.  Enumeration
 is exponential by design: this module is the specification-by-enumeration
 that every polynomial-time route in the package is checked against.
 
-Each function clears denominators once per call (M = D*m, all entries
-ints, `exactcore.clear_denominators`), works on the integer principal
+Each function reads the integer form of its matrix (M = D*m, all entries
+ints, `exactcore.Matrix.int_form`), works on the integer principal
 submatrices of M and scales each order's result back once by a power of D.
 No `Matrix` or `Fraction` is built per minor.  ``delta_k`` and
 ``delta_k_i`` evaluate every minor with the integer kernel
 `exactcore.det_int`; the one order-n principal minor is the determinant, so
-``delta_k(m, n)`` is `exactcore.det`, which runs the same helper and kernel.
+``delta_k(m, n)`` is `exactcore.det`, which reads the same form and runs the
+same kernel.
 
-``delta_k_i_coeffs(m, k)`` is the table of the n anchored linear
-functionals of order k; `faddeev.adjugate_coeffs_minors` signs it by
-(-1)^(k-1) to get the adjugate coefficient B_{k-1} (Lemma 2 of the paper).
-``delta_vec`` is that table times a column, through `exactcore.mat_vec`.
+``delta_k_i_coeffs(m, k)`` is the `Matrix` of the n anchored linear
+functionals of order k, born from its integer table over D^(k-1);
+`faddeev.adjugate_coeffs_minors` signs it by (-1)^(k-1) to get the adjugate
+coefficient B_{k-1} (Lemma 2 of the paper).  ``delta_vec`` is that table
+times a column, through `exactcore.mat_vec`.
 The table takes one fraction-free Gauss-Jordan elimination per order-k
 principal subset, whose adjugate serves all k anchors of the subset at once
 (Bareiss 1968; Nakos, Turner & Williams 1997), with the cofactors of
 `det_int` for a singular subset.  So building all orders still costs
 2^n - 1 eliminations.
 
-The enumeration shares only `clear_denominators` with the trace recurrence
-of `faddeev`; that helper is checked on its own (`det` against the test
-suite's cofactor expansion, and its own tests), so the enumeration stays
-an independent check of the recurrence.
+The enumeration shares only the matrix's integer form with the trace
+recurrence of `faddeev`; that form is checked on its own (`det` against the
+test suite's cofactor expansion, and its own tests), so the enumeration
+stays an independent check of the recurrence.
 
 Subsets are enumerated in lexicographic order; exact arithmetic makes the
 summation order irrelevant, fixing it just keeps debugging deterministic.
@@ -39,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exactcore import Matrix, clear_denominators, column_substitute, det, det_int, mat_vec
+from .exactcore import Matrix, _born_matrix, column_substitute, det, det_int, mat_vec
 
 
 def _principal_minor(rows: list[list[int]], subset: Sequence[int]) -> int:
@@ -57,7 +59,7 @@ def delta_k(m: Matrix, k: int) -> Fraction:
         return Fraction(0)
     if k == n:
         return det(m)
-    den, rows = clear_denominators(m.rows())
+    den, rows = m.int_form()
     total = sum(_principal_minor(rows, subset) for subset in combinations(range(n), k))
     return Fraction(total, den**k)
 
@@ -72,7 +74,7 @@ def delta_k_i(m: Matrix, k: int, i: int, v: Sequence) -> Fraction:
     substituted = column_substitute(m, i, v)
     if k > m.n:
         return Fraction(0)
-    den, rows = clear_denominators(substituted.rows())
+    den, rows = substituted.int_form()
     anchor = i - 1
     total = sum(
         _principal_minor(rows, subset) for subset in combinations(range(m.n), k) if anchor in subset
@@ -134,7 +136,7 @@ def _anchored_table(m: Matrix, k: int) -> tuple[int, list[list[int]]]:
     cannot finish, takes its cofactors from `det_int` one by one.
     """
     n = m.n
-    den, rows = clear_denominators(m.rows())
+    den, rows = m.int_form()
     table = [[0] * n for _ in range(n)]
     for subset in combinations(range(n), k):
         sub = [[rows[r][c] for c in subset] for r in subset]
@@ -148,24 +150,23 @@ def _anchored_table(m: Matrix, k: int) -> tuple[int, list[list[int]]]:
     return den ** (k - 1), table
 
 
-def delta_k_i_coeffs(m: Matrix, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The n linear functionals v -> delta_k_i(m, k, i, v); row i-1 is anchor i.
+def delta_k_i_coeffs(m: Matrix, k: int) -> Matrix:
+    """The n linear functionals v -> delta_k_i(m, k, i, v) as a matrix; row i-1 is anchor i.
 
     Expanding each anchored minor along the substituted column i leaves
     scalar cofactors of order k-1, so the substituted entries enter
     linearly: delta_k_i(m, k, i, v) = sum_s coeffs[i-1][s-1] * v[s-1].
     This is what lets the same minors act on operator-valued columns.
-    Beyond order n every functional is zero.
+    The matrix is born from the integer table; beyond order n it is zero.
     """
     n = m.n
     if k < 1:
         raise ValueError("minor order must be >= 1")
     if k > n:
-        return ((Fraction(0),) * n,) * n
-    scale, table = _anchored_table(m, k)
-    return tuple(tuple(Fraction(c, scale) for c in row) for row in table)
+        return _born_matrix(1, [[0] * n for _ in range(n)])
+    return _born_matrix(*_anchored_table(m, k))
 
 
 def delta_vec(m: Matrix, k: int, v: Sequence) -> tuple[Fraction, ...]:
     """Column whose i-th component is delta_k_i(m, k, i, v): the order-k table times v."""
-    return mat_vec(Matrix(delta_k_i_coeffs(m, k)), v)
+    return mat_vec(delta_k_i_coeffs(m, k), v)

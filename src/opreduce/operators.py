@@ -182,9 +182,10 @@ class ElementColumn:
         items = tuple(entries)
         if not items:
             raise HeterogeneousColumnError("column needs at least one entry")
+        for e in items:
+            if not isinstance(e, OperatorElement):
+                raise TypeError(f"not an operator element: {e!r}")
         first = items[0]
-        if not isinstance(first, OperatorElement):
-            raise TypeError(f"not an operator element: {first!r}")
         for e in items[1:]:
             if type(e) is not type(first):
                 raise HeterogeneousColumnError("column mixes sequences and polynomials")

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import Matrix, parse_rational
-from .faddeev import _signed
 from .operators import ElementColumn, FiniteSequence, OperatorElement, OperatorKind, Polynomial
 
 
@@ -197,7 +196,7 @@ def term_to_json(n: int, k: int, row) -> dict:
         "order": k,
         "sign": (-1) ** (k - 1),
         "power": n - k,
-        "coeffs": list(map(str, _signed(k, row))),
+        "coeffs": [str(c if k % 2 else -c) for c in row],
     }
 
 

@@ -457,6 +457,44 @@ class TestOracle:
         assert rc == 2
 
 
+class TestIntegerForms:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--spec", str(DATA_DIR / "shift_2x2_x.json")],
+            ["verify", "--spec", str(DATA_DIR / "derivative_3x3_x.json")],
+            ["oracle", "--nmin", "1", "--nmax", "5", "--trials", "10"],
+        ],
+    )
+    def test_no_matrix_is_cleared_after_birth(self, capsys, monkeypatch, argv):
+        # every check reads a matrix's integer form, so the Fraction rows of a
+        # matrix, once read, never reach clear_denominators
+        read = []
+        original_rows = Matrix.rows
+
+        def recording_rows(m):
+            read.append(original_rows(m))
+            return read[-1]
+
+        cleared = []
+        original_clear = exactcore.clear_denominators
+
+        def recording_clear(rows):
+            cleared.append(rows)
+            return original_clear(rows)
+
+        monkeypatch.setattr(Matrix, "rows", recording_rows)
+        patch_everywhere(monkeypatch, original_clear, recording_clear)
+        rc, _, _ = run_cli(capsys, argv)
+        assert rc == 0
+        # the matrices of the spec or of the oracle trials are cleared at birth
+        assert cleared
+        assert not [rows for rows in cleared if any(rows is r for r in read)]
+        if argv[0] == "oracle":
+            # an oracle report holds no matrix, so no Fraction row is built at all
+            assert read == []
+
+
 class TestVerify:
     def build_spec(self, tmp_path, perturb=False, x_origin=0):
         b = Matrix([[1, 2], [3, 4]])
@@ -600,14 +638,16 @@ class TestSpecParsing:
         rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
         assert rc == 2
         assert "matrix[0][1]" in err
-        # an Arabic-Indic three is a Unicode decimal digit, but not a rational literal
-        spec = write_spec(
-            tmp_path,
-            {"n": 2, "matrix": [["1", "\u0663"], ["3", "4"]], "operator": "zero", "phi": ["0", "0"]},
-        )
-        rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
-        assert rc == 2
-        assert "matrix[0][1]" in err
+        # an Arabic-Indic three is a Unicode decimal digit, but not a rational literal;
+        # no-break, em and ideographic spaces are Unicode whitespace, which is not trimmed
+        for literal in ("\u0663", "\xa05", "5\u2003", "\u30003/7"):
+            spec = write_spec(
+                tmp_path,
+                {"n": 2, "matrix": [["1", literal], ["3", "4"]], "operator": "zero", "phi": ["0", "0"]},
+            )
+            rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
+            assert rc == 2
+            assert "matrix[0][1]" in err
 
     def test_float_rejected(self, capsys, tmp_path):
         spec = write_spec(

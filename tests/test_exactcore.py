@@ -10,6 +10,7 @@ from conftest import LARGE_PRIMES, det_cofactor, matmul, random_column, random_m
 from opreduce.exactcore import (
     DimensionError,
     Matrix,
+    _born_matrix,
     as_rational,
     column_substitute,
     det,
@@ -18,8 +19,18 @@ from opreduce.exactcore import (
     parse_rational,
 )
 from opreduce.exactcore import clear_denominators, det_int, matmul_int
+from opreduce.faddeev import adjugate_coeffs, adjugate_coeffs_minors
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
+
+
+def square_matrices(entries, max_n=5):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+rational_matrices = square_matrices(st.one_of(st.just(Fraction(0)), rationals))
 
 
 def fraction_mat_vec(m, v):
@@ -33,8 +44,14 @@ class TestRationalLiterals:
         assert parse_rational("-3/7") == Fraction(-3, 7)
         assert parse_rational("+2/4") == Fraction(1, 2)
         assert parse_rational(" 9 ") == Fraction(9)
+        assert parse_rational("\t-3/7\r\n") == Fraction(-3, 7)
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "3/-4", "1e3", "a", "1/2/3", "--1", "\u0663", "\uff13/2", "1/\u0662"])
+    # Unicode digits, and Unicode spaces (no-break, em, ideographic), which are not trimmed
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "1.5", "1/0", "3/-4", "1e3", "a", "1/2/3", "--1", "\u0663", "\uff13/2", "1/\u0662",
+         "\xa05", "5\u2003", "\u30003/7"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -163,6 +180,56 @@ class TestDeterminant:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             Matrix([[1, 2, 3], [4, 5, 6]])
+
+
+class TestIntegerForm:
+    @given(rows=rational_matrices, c=st.integers(1, 10**6))
+    @example(rows=[[Fraction(0)]], c=7)
+    @example(rows=[[Fraction(0)] * 3] * 3, c=1)
+    @example(rows=[[Fraction(1, p) for p in LARGE_PRIMES[:3]]] * 3, c=LARGE_PRIMES[8])
+    @settings(max_examples=150, deadline=None)
+    def test_born_from_a_scaled_form_matches_the_constructor(self, rows, c):
+        m = Matrix(rows)
+        den, ints = clear_denominators(rows)
+        born = _born_matrix(c * den, [[c * x for x in row] for row in ints])
+        assert born == m and m == born
+        assert hash(born) == hash(m)
+        assert born.int_form() == m.int_form() == (den, ints)
+        assert born.rows() == m.rows() == tuple(map(tuple, rows))
+        assert all(type(x) is Fraction for row in born.rows() for x in row)
+
+    @given(rows=rational_matrices, c=st.integers(1, 50))
+    @settings(max_examples=80, deadline=None)
+    def test_orders_n_and_n_plus_one_differ(self, rows, c):
+        # the order-n matrix is the leading block of the bordered one, which a zip would truncate to
+        n = len(rows)
+        m = Matrix(rows)
+        bordered = Matrix([[*row, Fraction(0)] for row in rows] + [[Fraction(0)] * (n + 1)])
+        den, ints = m.int_form()
+        for small in (m, _born_matrix(c * den, [[c * x for x in row] for row in ints])):
+            assert small != bordered and bordered != small
+
+    @given(rows=rational_matrices, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_moving_one_entry_by_a_seventh_makes_them_unequal(self, rows, data):
+        n = len(rows)
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        moved = [list(row) for row in rows]
+        moved[r][c] += Fraction(1, 7)
+        den, ints = clear_denominators(moved)
+        for m in (Matrix(moved), _born_matrix(3 * den, [[3 * x for x in row] for row in ints])):
+            assert m != Matrix(rows) and Matrix(rows) != m
+
+    @given(rows=square_matrices(rationals, max_n=4))
+    @settings(max_examples=40, deadline=None)
+    def test_every_coefficient_matrix_is_born_canonical(self, rows):
+        b = Matrix(rows)
+        for ac in (adjugate_coeffs(b), adjugate_coeffs_minors(b)):
+            for m in ac.coeffs:
+                reference = Matrix(m.rows())
+                assert m == reference
+                assert m.int_form() == reference.int_form()
+                assert hash(m) == hash(reference)
 
 
 def reference_clear(rows):

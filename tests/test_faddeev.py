@@ -151,6 +151,15 @@ class TestAdjugateCoeffs:
                 AdjugateCoeffs(ac.coeffs, cp)
             assert AdjugateCoeffs(ac.coeffs, ac.cp).n == n
 
+    def test_every_coefficient_must_have_the_polynomial_order(self, rng):
+        # n coefficients, one of them of order n + 1, which a zip over rows would truncate
+        for n in (1, 2, 4):
+            ac = adjugate_coeffs(random_matrix(rng, n))
+            for j in range(n):
+                coeffs = (*ac.coeffs[:j], identity(n + 1), *ac.coeffs[j + 1 :])
+                with pytest.raises(DimensionError, match=f"order {n} must be {n}x{n}"):
+                    AdjugateCoeffs(coeffs, ac.cp)
+
 
 def fraction_recurrence(b):
     """The trace recurrence written directly over Fraction, as an oracle for the integer lift."""

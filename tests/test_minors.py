@@ -225,7 +225,7 @@ class TestCoefficientFunctional:
             m = random_matrix(rng, n)
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
-                    coeffs = delta_k_i_coeffs(m, k)[i - 1]
+                    coeffs = delta_k_i_coeffs(m, k).rows()[i - 1]
                     for s in range(n):
                         basis = tuple(Fraction(int(t == s)) for t in range(n))
                         assert coeffs[s] == delta_k_i(m, k, i, basis)
@@ -236,13 +236,13 @@ class TestCoefficientFunctional:
             v = random_column(rng, n)
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
-                    coeffs = delta_k_i_coeffs(m, k)[i - 1]
+                    coeffs = delta_k_i_coeffs(m, k).rows()[i - 1]
                     value = sum((c * x for c, x in zip(coeffs, v)), Fraction(0))
                     assert value == delta_k_i(m, k, i, v)
 
     def test_beyond_order_n_is_zero(self, rng):
         m = random_matrix(rng, 2)
-        assert delta_k_i_coeffs(m, 3)[0] == (0, 0)
+        assert delta_k_i_coeffs(m, 3).rows()[0] == (0, 0)
 
 
 class TestIntegerEnumeration:
@@ -330,7 +330,7 @@ class TestAnchoredTable:
     def test_matches_cofactor_table(self, rows):
         m = Matrix(rows)
         for k in range(1, m.n + 1):
-            assert delta_k_i_coeffs(m, k) == anchored_table(m, k)
+            assert delta_k_i_coeffs(m, k).rows() == anchored_table(m, k)
 
     def test_swaps_singular_subsets_and_large_denominators(self, monkeypatch):
         # the singular fixtures reach the det_int fallback, the zero matrix included
@@ -346,7 +346,7 @@ class TestAnchoredTable:
             m = Matrix(rows)
             before = len(fallbacks)
             for k in range(1, m.n + 1):
-                assert delta_k_i_coeffs(m, k) == anchored_table(m, k)
+                assert delta_k_i_coeffs(m, k).rows() == anchored_table(m, k)
             if rows in SINGULAR_FIXTURES:
                 assert len(fallbacks) > before
 
@@ -354,8 +354,8 @@ class TestAnchoredTable:
         # the repeated row makes every subset holding rows 1 and 2 singular,
         # yet their order-1 cofactors still enter the table
         m = Matrix(SINGULAR_FIXTURES[0])
-        assert delta_k_i_coeffs(m, 2)[0] == (2 + 7, -2, -3)
-        assert delta_k_i_coeffs(m, 3) == anchored_table(m, 3) != ((0, 0, 0),) * 3
+        assert delta_k_i_coeffs(m, 2).rows()[0] == (2 + 7, -2, -3)
+        assert delta_k_i_coeffs(m, 3).rows() == anchored_table(m, 3) != ((0, 0, 0),) * 3
 
     def test_delta_vec_on_large_denominators(self):
         m = Matrix(LARGE_PRIME_MATRIX)
@@ -409,5 +409,5 @@ class TestOnePassPerOrder:
         for k in (1, 4):
             with pytest.raises(ValueError):
                 delta_vec(m, k, v[:2])
-        assert delta_k_i_coeffs(m, 4) == ((0, 0, 0),) * 3
+        assert delta_k_i_coeffs(m, 4).rows() == ((0, 0, 0),) * 3
         assert delta_vec(m, 5, v) == (0, 0, 0)

@@ -159,6 +159,15 @@ class TestColumns:
         with pytest.raises(HeterogeneousColumnError):
             ElementColumn([])
 
+    def test_every_entry_must_be_an_element(self):
+        # an entry that is no element is named as such, not reported as a mix of variants
+        with pytest.raises(TypeError, match="not an operator element: 5"):
+            ElementColumn([Polynomial([1]), 5])
+        with pytest.raises(TypeError, match="not an operator element: 5"):
+            ElementColumn([5, Polynomial([1])])
+        with pytest.raises(TypeError, match="not an operator element: 'x'"):
+            ElementColumn([FiniteSequence(0, [1]), Polynomial([1]), "x"])
+
     def test_apply_vector_shift(self):
         col = ElementColumn([FiniteSequence(0, [0, 1, 2, 3]), FiniteSequence(0, [5, 5, 5, 5])])
         shifted = apply_vector(SHIFT, col)

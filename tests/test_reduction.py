@@ -19,7 +19,13 @@ from conftest import (
 from opreduce import reduction
 from opreduce.cauchy import manufacture_solution, verify_total_reduction
 from opreduce.exactcore import DimensionError, Matrix, identity, mat_vec, parse_rational
-from opreduce.faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors
+from opreduce.faddeev import (
+    AdjugateCoeffs,
+    CharPoly,
+    adjugate_coeffs,
+    adjugate_coeffs_minors,
+    cayley_hamilton_check,
+)
 from opreduce.minors import delta_k_i
 from opreduce.specio import reduced_to_json
 from opreduce.operators import (
@@ -169,6 +175,19 @@ class TestRouteEquality:
                 assert lhs.ac == rhs.ac
                 assert lhs.rhs_evaluated == rhs.rhs_evaluated
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("kind", [SHIFT, DERIV])
+    def test_agreement_and_checks_build_no_fraction_rows(self, rng, kind):
+        # both routes' coefficient matrices are born from ints, and comparing or checking them reads only that form
+        for n in range(1, 6):
+            b = random_matrix(rng, n)
+            phi = phi_column(kind, rng, n)
+            lhs, rhs = total_reduce_adjugate(b, phi, kind), total_reduce_minors(b, phi, kind)
+            assert lhs == rhs
+            assert all(lemma2_check(lhs.ac, rhs.ac, k) for k in range(n))
+            assert all(lemma1_check(b, ac, k) for ac in (lhs.ac, rhs.ac) for k in range(1, n + 1))
+            assert cayley_hamilton_check(b, lhs.ac)
+            assert all(m._rows is None for m in (*lhs.ac.coeffs, *rhs.ac.coeffs))
 
     def test_term_counts_and_sign_pattern(self, rng):
         b = random_matrix(rng, 4)
