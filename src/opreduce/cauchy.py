@@ -60,6 +60,8 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     B = M/D, phi(t) = P(t)/Q (Q the lcm of the denominators of phi's integer
     forms, read once per call) and the state x(t) = X/S (X ints, S > 0), one
     step is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').
+    The step's values are the Fractions X'_i / S', and each one's gcd gives
+    that reduction too: gcd(S', X') is the gcd of the S' / denominator.
     Each trajectory is born with its integer form over L, the lcm of the
     S(t): value t is X(t) (L / S(t)) over L.
     """
@@ -73,23 +75,24 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     forms = [entry.int_form() for entry in phi.entries]
     q = lcm(*(d for d, _ in forms))
     windows = [[a * (q // d) for a in ints[:steps]] for d, ints in forms]
-    states = [(x, scale)]
+    states, values = [(x, scale)], [start]
     for p in zip(*windows):
         ds = den * scale
         x = [q * sum(map(mul, row, x)) + ds * c for row, c in zip(m, p)]
         scale = ds * q
-        g = gcd(scale, *x)
+        now = tuple(Fraction(a, scale) for a in x)
+        g = gcd(*(scale // v.denominator for v in now))
         if g > 1:
             x = [a // g for a in x]
             scale //= g
         states.append((x, scale))
+        values.append(now)
     common = lcm(*(s for _, s in states))
     factors = [common // s for _, s in states]
     trajectories = []
     for i in range(n):
-        values = tuple(Fraction(nums[i], s) for nums, s in states)
         form = (common, [nums[i] * f for (nums, _), f in zip(states, factors)])
-        trajectories.append(_born(FiniteSequence, values, form, t0))
+        trajectories.append(_born(FiniteSequence, tuple(v[i] for v in values), form, t0))
     return ElementColumn(trajectories)
 
 

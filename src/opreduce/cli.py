@@ -2,19 +2,24 @@
 
 Subcommands: reduce, solve, cramer, oracle, verify.  Each ``cmd_*`` computes
 a report payload and whether its identities held, and nothing else; its
-parser registers it beside its text renderer.  `main` loads the spec, opens
-the report stream, renders the payload as JSON (machine) or text (human),
-writes it and picks the exit code.  All numbers are rational literal strings
-in both formats.  Exit codes: 0 success, 2 input error, 3 mathematical
-degeneracy (singular matrix), 4 identity-suite failure.
+parser registers it beside its text renderer, which yields the text report
+piece by piece.  `main` loads the spec, opens the report stream, and writes
+the payload as JSON (machine) or text (human) while it is encoded, so no
+encoded copy of a whole report is ever held; then it picks the exit code.
+All numbers are rational literal strings in both formats.  Exit codes: 0
+success, 2 input error, or a report that cannot be written at any point (a
+closed stdout pipe included), 3 mathematical degeneracy (singular matrix),
+4 identity-suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -60,100 +65,123 @@ def _operator_poly_text(cp) -> str:
     return text
 
 
-def _element_text(payload: dict) -> str:
+def _listed(values) -> Iterator[str]:
+    """``", ".join(values)`` a piece at a time, so that a long list is never held joined."""
+    for k, value in enumerate(values):
+        if k:
+            yield ", "
+        yield value
+
+
+def _element_text(payload: dict) -> Iterator[str]:
     if payload["kind"] == "sequence":
-        return f"sequence(origin={payload['origin']}): {', '.join(payload['values'])}"
-    if not payload["coeffs"]:
-        return "polynomial: 0"
-    return f"polynomial(ascending): {', '.join(payload['coeffs'])}"
+        yield f"sequence(origin={payload['origin']}): "
+        yield from _listed(payload["values"])
+    elif payload["coeffs"]:
+        yield "polynomial(ascending): "
+        yield from _listed(payload["coeffs"])
+    else:
+        yield "polynomial: 0"
 
 
-def _reduce_text(payload: dict) -> str:
-    lines = [
-        f"totally reduced system, n = {payload['n']}, operator = {payload['operator']}",
-        f"left-hand side (all variables): {payload['lhs']}",
-    ]
+def _reduce_text(payload: dict) -> Iterator[str]:
+    yield f"totally reduced system, n = {payload['n']}, operator = {payload['operator']}\n"
+    yield f"left-hand side (all variables): {payload['lhs']}\n"
     for block in payload["rhs"]:
         i = block["variable"]
-        lines.append(f"equation for x{i}:")
+        yield f"equation for x{i}:\n"
         for term in block["terms"]:
             sign = "+" if term["sign"] > 0 else "-"
-            lines.append(
+            yield (
                 f"  {sign} delta_{term['order']}^{i}(B; A^{term['power']} phi)"
-                f"  [coeffs: {', '.join(term['coeffs'])}]"
+                f"  [coeffs: {', '.join(term['coeffs'])}]\n"
             )
-        lines.append(f"  evaluated rhs: {_element_text(block['evaluated'])}")
-    lines.append(f"route agreement: {str(payload['route_agreement']).lower()}")
-    return "\n".join(lines) + "\n"
+        yield "  evaluated rhs: "
+        yield from _element_text(block["evaluated"])
+        yield "\n"
+    yield f"route agreement: {str(payload['route_agreement']).lower()}\n"
 
 
-def _residual_lines(payload: dict, residuals: list, extra: list) -> list:
+def _residual_text(payload: dict, residuals: list, extra=()) -> Iterator[str]:
     """Left-hand side, one status line per residual, extra lines, then the verdicts."""
-    lines = [f"left-hand side: {payload['lhs']}"]
+    yield f"left-hand side: {payload['lhs']}\n"
     for block in residuals:
         window = block.get("window")
         where = f" on [{window['origin']}, {window['origin'] + window['length'] - 1}]" if window else ""
         status = "zero" if block["is_zero"] else "NONZERO"
-        lines.append(f"residual x{block['variable']}{where}: {status}")
-    return lines + extra + [
-        f"route agreement: {str(payload['route_agreement']).lower()}",
-        f"all residuals zero: {str(payload['all_zero']).lower()}",
-    ]
+        yield f"residual x{block['variable']}{where}: {status}\n"
+    yield from extra
+    yield f"route agreement: {str(payload['route_agreement']).lower()}\n"
+    yield f"all residuals zero: {str(payload['all_zero']).lower()}\n"
 
 
-def _solve_text(payload: dict) -> str:
-    lines = [
-        f"initial-value solution, n = {payload['n']}, t0 = {payload['t0']}, horizon = {payload['horizon']}",
-    ]
+def _solve_text(payload: dict) -> Iterator[str]:
+    yield f"initial-value solution, n = {payload['n']}, t0 = {payload['t0']}, horizon = {payload['horizon']}\n"
     for traj in payload["trajectories"]:
-        lines.append(f"x{traj['variable']}: {', '.join(traj['values'])}")
-    derived = [
+        yield f"x{traj['variable']}: "
+        yield from _listed(traj["values"])
+        yield "\n"
+    derived = (
         f"derived conditions x{block['variable']} (powers 1..{len(block['values'])}): "
-        f"{', '.join(block['values'])} (match trajectory: {str(block['matches_trajectory']).lower()})"
+        f"{', '.join(block['values'])} (match trajectory: {str(block['matches_trajectory']).lower()})\n"
         for block in payload["derived_conditions"]
         if block["values"]
-    ]
-    return "\n".join(lines + _residual_lines(payload, payload["verification"], derived)) + "\n"
+    )
+    yield from _residual_text(payload, payload["verification"], derived)
 
 
-def _cramer_text(payload: dict) -> str:
-    lines = [
-        f"cramer solution of B x + phi = 0, n = {payload['n']}",
-        f"x: {', '.join(payload['solution'])}",
-        f"residual B x + phi: {', '.join(payload['residual'])}",
-        f"zero-operator pipeline agreement: {str(payload['pipeline_agreement']).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
+def _cramer_text(payload: dict) -> Iterator[str]:
+    yield f"cramer solution of B x + phi = 0, n = {payload['n']}\n"
+    yield f"x: {', '.join(payload['solution'])}\n"
+    yield f"residual B x + phi: {', '.join(payload['residual'])}\n"
+    yield f"zero-operator pipeline agreement: {str(payload['pipeline_agreement']).lower()}\n"
 
 
-def _oracle_text(payload: dict) -> str:
-    lines = [
+def _oracle_text(payload: dict) -> Iterator[str]:
+    yield (
         f"identity suites: n in {payload['nmin']}..{payload['nmax']}, "
-        f"{payload['trials']} trials, seed {payload['seed']}",
-    ]
+        f"{payload['trials']} trials, seed {payload['seed']}\n"
+    )
     for name, result in payload["checks"].items():
-        lines.append(f"{name}: pass {result['pass']}, fail {result['fail']}")
-    lines.append(f"all passed: {str(payload['all_passed']).lower()}")
-    return "\n".join(lines) + "\n"
+        yield f"{name}: pass {result['pass']}, fail {result['fail']}\n"
+    yield f"all passed: {str(payload['all_passed']).lower()}\n"
 
 
-def _verify_text(payload: dict) -> str:
-    lines = [f"verification of candidate solution, n = {payload['n']}"]
-    return "\n".join(lines + _residual_lines(payload, payload["residuals"], [])) + "\n"
+def _verify_text(payload: dict) -> Iterator[str]:
+    yield f"verification of candidate solution, n = {payload['n']}\n"
+    yield from _residual_text(payload, payload["residuals"])
+
+
+def _write_error(path: str, exc: OSError) -> SpecError:
+    return SpecError(f"cannot write report to {path}: {exc}")
 
 
 @contextmanager
 def _report_stream(path: str):
-    """stdout for ``-``, else ``path`` opened for writing before the command runs."""
+    """stdout for ``-``, else ``path`` opened for writing before the command runs.
+
+    On the way out stdout is flushed and a file is closed.  Either can fail
+    with the bytes a failed write left pending; that failure is raised as
+    `SpecError` naming ``path`` in place of whatever else was on its way out.
+    """
     if path == "-":
-        yield sys.stdout
-        return
+        stream = sys.stdout
+        if stream is None:
+            raise SpecError("cannot write report to -: standard output is closed")
+        finish = stream.flush
+    else:
+        try:
+            stream = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _write_error(path, exc) from None
+        finish = stream.close
     try:
-        handle = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot write report to {path}: {exc}") from None
-    with handle:
-        yield handle
+        yield stream
+    finally:
+        try:
+            finish()
+        except OSError as exc:
+            raise _write_error(path, exc) from None
 
 
 @contextmanager
@@ -364,7 +392,11 @@ def _report(args) -> bool:
 
     The spec is read under the int/str digit limit, which guards against
     hostile literals, and before ``--out`` opens, which may name it.  The
-    report, whose exact numbers can outgrow the limit, is written without it.
+    report, whose exact numbers can outgrow the limit, is written without it,
+    as it is encoded: JSON chunk by chunk, text piece by piece.  So the
+    command's peak memory is its computation and payload, with no encoded
+    copy of the report on top.  A write that fails, at any point, raises
+    `SpecError`; what was written before it stays in the file.
     """
     operands = [args]
     if args.command != "oracle":
@@ -377,12 +409,14 @@ def _report(args) -> bool:
         operands.append(spec)
     with _report_stream(args.out) as stream, _no_int_str_digit_limit():
         payload, ok = args.func(*operands)
-        body = json.dumps(payload, indent=2) + "\n" if args.format == "json" else args.text(payload)
         try:
-            stream.write(body)
-            stream.flush()
+            if args.format == "json":
+                json.dump(payload, stream, indent=2)
+                stream.write("\n")
+            else:
+                stream.writelines(args.text(payload))
         except OSError as exc:
-            raise SpecError(f"cannot write report to {args.out}: {exc}") from None
+            raise _write_error(args.out, exc) from None
     return ok
 
 
@@ -399,4 +433,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # If stdout's reader has gone (for a report, main has said so), the
+        # unwritten bytes go to the null device, not to a failing flush at exit.
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

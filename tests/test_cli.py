@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +17,7 @@ from opreduce.cauchy import manufacture_solution
 from opreduce.cli import main
 from opreduce.exactcore import Matrix
 from opreduce.operators import ElementColumn, FiniteSequence, OperatorKind, apply_vector, lincomb
+from opreduce.specio import load_spec
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,6 +32,22 @@ def write_spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def power_spec(tmp_path, horizon=500):
+    """x_t = 10^(10 t): at horizon 500 the last value has 5001 digits and a solve report passes 1.2 MB."""
+    return write_spec(
+        tmp_path,
+        {
+            "n": 1,
+            "matrix": [["10000000000"]],
+            "operator": "shift",
+            "phi": [{"origin": 0, "values": ["0"] * (horizon + 1)}],
+            "initial": {"t0": 0, "x0": ["1"]},
+            "horizon": horizon,
+        },
+        name="power.json",
+    )
 
 
 class TestReduce:
@@ -282,18 +301,7 @@ class TestSolve:
     def test_results_past_the_int_digit_limit(self, capsys, tmp_path):
         # x_t = 10^(10 t) reaches 5001 digits at t = 500, past CPython's
         # default 4300-digit limit on int/str conversion
-        horizon = 500
-        spec = write_spec(
-            tmp_path,
-            {
-                "n": 1,
-                "matrix": [["10000000000"]],
-                "operator": "shift",
-                "phi": [{"origin": 0, "values": ["0"] * (horizon + 1)}],
-                "initial": {"t0": 0, "x0": ["1"]},
-                "horizon": horizon,
-            },
-        )
+        spec = power_spec(tmp_path)
         limit = sys.get_int_max_str_digits()
         rc, out, err = run_cli(capsys, ["solve", "--spec", spec, "--format", "json"])
         assert (rc, err) == (0, "")
@@ -701,6 +709,102 @@ class TestSpecParsing:
         rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
         assert rc == 2
         assert "phi" in err
+
+
+class TestReportWriting:
+    """Reports are written as they are encoded, and a failed write exits 2."""
+
+    SMALL = {
+        "reduce": ["reduce", "--spec", "shift_2x2_x.json"],
+        "solve": ["solve", "--spec", "shift_3x3_long.json"],
+        "cramer": ["cramer", "--spec", "zero_3x3.json"],
+        "verify": ["verify", "--spec", "shift_2x2_x.json"],
+        "oracle": ["oracle", "--trials", "4", "--nmax", "3"],
+    }
+
+    @staticmethod
+    def solve_payload(spec):
+        with cli._no_int_str_digit_limit():
+            return cli.cmd_solve(argparse.Namespace(horizon=None), load_spec(spec))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("case", [*SMALL, "solve-long-horizon"])
+    def test_full_device_exits_2(self, capsys, tmp_path, case, fmt):
+        # a small report fails when it is flushed, a large one inside a write
+        argv = ["solve", "--spec", power_spec(tmp_path)] if case == "solve-long-horizon" else self.SMALL[case]
+        rc, out, err = run_cli(capsys, [*resolve_spec_paths(argv), "--format", fmt, "--out", "/dev/full"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write report to /dev/full: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_reports_are_streamed(self, tmp_path, monkeypatch, fmt):
+        # The payload is built first; rendering and writing the report then
+        # allocates a small share of its size, not an encoded copy of it.
+        spec = power_spec(tmp_path)
+        payload, ok = self.solve_payload(spec)
+        monkeypatch.setattr(cli, "cmd_solve", lambda args, spec: (payload, ok))
+        target = tmp_path / f"report.{fmt}"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rc = main(["solve", "--spec", spec, "--format", fmt, "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert rc == 0
+        assert size >= 1 << 20
+        assert peak - before < size / 4
+
+    def test_long_reports_are_byte_identical(self, capsys, tmp_path):
+        spec = power_spec(tmp_path)
+        payload, _ = self.solve_payload(spec)
+        _, out, _ = run_cli(capsys, ["solve", "--spec", spec, "--format", "json"])
+        assert out == json.dumps(payload, indent=2) + "\n"
+        _, out, _ = run_cli(capsys, ["solve", "--spec", spec])
+        assert out == "".join(cli._solve_text(payload))
+        assert out.splitlines()[1] == "x1: " + ", ".join(payload["trajectories"][0]["values"])
+
+    @staticmethod
+    def cli_command(case, unbuffered=False):
+        """argv and environment of ``python -m opreduce`` on a small case; stdout unbuffered or not."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return [sys.executable, "-m", "opreduce", *resolve_spec_paths(TestReportWriting.SMALL[case])], env
+
+    @staticmethod
+    def into_closed_pipe(argv, env):
+        """Exit code and stderr of a process whose stdout reader is gone before it writes."""
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        return proc.wait(timeout=60), err
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("case", ["reduce", "solve"])
+    def test_closed_stdout_pipe_exits_2(self, case, unbuffered):
+        # buffered, the reduce report fails when it is flushed, the solve report inside a write
+        code, err = self.into_closed_pipe(*self.cli_command(case, unbuffered))
+        assert code == 2
+        assert err.startswith("error: cannot write report to -: ")
+        assert err.count("\n") == 1
+
+    def test_help_into_a_closed_stdout_pipe_is_quiet(self):
+        argv, env = self.cli_command("reduce")
+        assert self.into_closed_pipe([*argv[:3], "--help"], env) == (0, "")
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 through the shell")
+    def test_closed_stdout_exits_2(self):
+        argv, env = self.cli_command("reduce")
+        run = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stderr) == (2, "error: cannot write report to -: standard output is closed\n")
 
 
 def test_internal_index_error_is_not_an_input_error(monkeypatch):
