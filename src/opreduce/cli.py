@@ -152,36 +152,31 @@ def _verify_text(payload: dict) -> Iterator[str]:
     yield from _residual_text(payload, payload["residuals"])
 
 
-def _write_error(path: str, exc: OSError) -> SpecError:
-    return SpecError(f"cannot write report to {path}: {exc}")
-
-
 @contextmanager
 def _report_stream(path: str):
     """stdout for ``-``, else ``path`` opened for writing before the command runs.
 
-    On the way out stdout is flushed and a file is closed.  Either can fail
-    with the bytes a failed write left pending; that failure is raised as
-    `SpecError` naming ``path`` in place of whatever else was on its way out.
+    One handler covers the destination's whole life: opening it, every
+    write made in the block, and the closing flush (stdout) or close (a
+    file), which can fail with the bytes a failed write left pending.  Any
+    such `OSError` is raised as `SpecError` naming ``path``, in place of
+    whatever else was on its way out.  Code in the block does no other I/O.
     """
-    if path == "-":
-        stream = sys.stdout
-        if stream is None:
-            raise SpecError("cannot write report to -: standard output is closed")
-        finish = stream.flush
-    else:
-        try:
-            stream = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise _write_error(path, exc) from None
-        finish = stream.close
     try:
-        yield stream
-    finally:
+        if path == "-":
+            stream = sys.stdout
+            if stream is None:
+                raise SpecError("cannot write report to -: standard output is closed")
+            finish = stream.flush
+        else:
+            stream = open(path, "w", encoding="utf-8")
+            finish = stream.close
         try:
+            yield stream
+        finally:
             finish()
-        except OSError as exc:
-            raise _write_error(path, exc) from None
+    except OSError as exc:
+        raise SpecError(f"cannot write report to {path}: {exc}") from None
 
 
 @contextmanager
@@ -395,7 +390,8 @@ def _report(args) -> bool:
     report, whose exact numbers can outgrow the limit, is written without it,
     as it is encoded: JSON chunk by chunk, text piece by piece.  So the
     command's peak memory is its computation and payload, with no encoded
-    copy of the report on top.  A write that fails, at any point, raises
+    copy of the report on top.  The command does no I/O, so a failure to
+    open, write or finish the report, at any point, is `_report_stream`'s
     `SpecError`; what was written before it stays in the file.
     """
     operands = [args]
@@ -409,14 +405,11 @@ def _report(args) -> bool:
         operands.append(spec)
     with _report_stream(args.out) as stream, _no_int_str_digit_limit():
         payload, ok = args.func(*operands)
-        try:
-            if args.format == "json":
-                json.dump(payload, stream, indent=2)
-                stream.write("\n")
-            else:
-                stream.writelines(args.text(payload))
-        except OSError as exc:
-            raise _write_error(args.out, exc) from None
+        if args.format == "json":
+            json.dump(payload, stream, indent=2)
+            stream.write("\n")
+        else:
+            stream.writelines(args.text(payload))
     return ok
 
 

@@ -212,19 +212,26 @@ class ElementColumn:
         return f"ElementColumn({list(self.entries)!r})"
 
 
-def check_acts_on(kind: OperatorKind, e: OperatorElement) -> None:
-    """The operator's domain: the shift acts on sequences, the derivative on polynomials, zero on both."""
+def check_acts_on(kind: OperatorKind, e: OperatorElement, times: int) -> None:
+    """The operator can be applied ``times`` times to ``e``: its domain, and the horizon it uses up.
+
+    The shift acts on sequences and uses one step per application, so it
+    needs horizon > ``times``; the derivative acts on polynomials, and the
+    zero operator on both, whatever their horizon.
+    """
     if kind is OperatorKind.SHIFT and not isinstance(e, FiniteSequence):
         raise TypeError("shift operator acts on sequences")
     if kind is OperatorKind.DERIVATIVE and not isinstance(e, Polynomial):
         raise TypeError("derivative operator acts on polynomials")
     if not isinstance(kind, OperatorKind):
         raise ValueError(f"unknown operator kind {kind!r}")
+    if kind is OperatorKind.SHIFT and e.horizon <= times:
+        raise HorizonError(f"shift^{times} needs horizon > {times}, got {e.horizon}")
 
 
 def apply(kind: OperatorKind, e: OperatorElement) -> OperatorElement:
     """One application of the operator to an element."""
-    check_acts_on(kind, e)
+    check_acts_on(kind, e, 1)
     if kind is OperatorKind.SHIFT:
         return e.shift()
     if kind is OperatorKind.DERIVATIVE:
@@ -249,8 +256,7 @@ def lincomb(
     elements' integer forms to their common denominator L by folding each
     factor L // D into the scalars, so each output value is one integer dot
     product, made a `Fraction` once.  Each output carries its form, reduced
-    by the gcd of its denominator and values.  An element whose scalar is
-    zero in every row is skipped.
+    by the gcd of its denominator and values.
     """
     if not elements:
         raise ValueError("lincomb needs at least one element")
@@ -266,19 +272,16 @@ def lincomb(
     is_sequence = isinstance(first, FiniteSequence)
     width = (min if is_sequence else max)(len(e.values) for e in elements)
     coeff_rows = [as_column(row) for row in scalar_rows]
-    live = [j for j, column in enumerate(zip(*coeff_rows)) if any(column)]
-    q_den, q_ints = clear_denominators([[row[j] for j in live] for row in coeff_rows])
-    forms = [elements[j].int_form() for j in live]
+    q_den, q_ints = clear_denominators(coeff_rows)
+    forms = [e.int_form() for e in elements]
     v_den = lcm(*(d for d, _ in forms))
     factors = [v_den // d for d, _ in forms]
     den = q_den * v_den
-    # one transpose serves every row; with no live element there are no
-    # columns, and each result is zero on the same width
     columns = list(zip(*(ints[:width] + [0] * (width - len(ints)) for _, ints in forms)))
     results = []
     for q in q_ints:
         q = list(map(mul, q, factors))
-        row = [sum(map(mul, q, col)) for col in columns] or [0] * width
+        row = [sum(map(mul, q, col)) for col in columns]
         if not is_sequence:
             while row and not row[-1]:
                 row.pop()
@@ -296,10 +299,8 @@ def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: Operat
     The zero element iff x solves the reduced scalar equation with
     non-homogeneous term psi on the window where all terms are defined.
     """
-    n = cp.n
-    if kind is OperatorKind.SHIFT and isinstance(x, FiniteSequence) and x.horizon <= n:
-        raise HorizonError(f"order-{n} equation needs horizon > {n}, got {x.horizon}")
+    check_acts_on(kind, x, cp.n)
     powers = [x]
-    for _ in range(n):
+    for _ in range(cp.n):
         powers.append(apply(kind, powers[-1]))
     return lincomb([(1, *cp.d, -1)], (*powers[::-1], psi))[0]

@@ -15,8 +15,9 @@ The two routes differ only in how they obtain the `AdjugateCoeffs`:
   the free column substituted there and expanded along column i, and p from
   principal-minor sums (`faddeev.adjugate_coeffs_minors`).
 
-Both routes first check that phi fits B and that the operator acts on it
-(`operators.check_acts_on`), before any coefficient is computed.
+Both routes first check that phi fits B and that the operator can be
+applied to it n times (`operators.check_acts_on`), before any coefficient
+is computed.
 The scalars come from two independent computations, so the two reductions
 must be equal, coefficient by coefficient; `ReducedSystem` equality is that
 check, so the cross-check route evaluates no right-hand side, and the
@@ -39,8 +40,6 @@ from .exactcore import DimensionError, Matrix, as_column, column_substitute, con
 from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors, lemma1_check
 from .operators import (
     ElementColumn,
-    FiniteSequence,
-    HorizonError,
     OperatorKind,
     Polynomial,
     apply_vector,
@@ -84,12 +83,8 @@ class ReducedSystem:
 
 
 def _check_system(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> None:
-    """phi fits B, the operator acts on it, and a sequence phi outlasts n applications."""
-    n = b.n
-    first = conform(n, phi, "free column")[0]
-    check_acts_on(kind, first)
-    if isinstance(first, FiniteSequence) and first.horizon <= n:
-        raise HorizonError(f"reduction of an order-{n} system needs horizon > {n}, got {first.horizon}")
+    """phi fits B and the operator can be applied to it n times (`check_acts_on`)."""
+    check_acts_on(kind, conform(b.n, phi, "free column")[0], b.n)
 
 
 def _operator_powers(kind: OperatorKind, phi: ElementColumn, n: int) -> list[ElementColumn]:

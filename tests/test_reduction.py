@@ -336,6 +336,20 @@ class TestCramer:
                 residual = tuple(a + c for a, c in zip(mat_vec(b, direct), phi))
                 assert all(r == 0 for r in residual)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_operator_reduces_any_sequence(self, rng, n):
+        # the zero operator uses up no horizon: each reduced equation is
+        # d_n x_i(t) = (B_{n-1} phi(t))_i, Cramer's rule at every t of the window
+        b = random_nonsingular_matrix(rng, n)
+        for horizon in (n, 1):
+            phi = random_sequence_column(rng, n, horizon, origin=-2)
+            reduced = total_reduce_adjugate(b, phi, ZERO)
+            assert reduced == total_reduce_minors(b, phi, ZERO)
+            dn = reduced.cp.coefficient(n)
+            for t in range(-2, horizon - 2):
+                x = cramer_solve(b, [e.value_at(t) for e in phi])
+                assert tuple(e.value_at(t) / dn for e in reduced.rhs_evaluated) == x
+
 
 class TestLemmaChecks:
     def test_always_true_on_randoms(self, rng):
