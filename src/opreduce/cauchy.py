@@ -27,6 +27,7 @@ from .operators import (
     OperatorElement,
     _born,
     apply_vector,
+    check_acts_on,
     eval_scalar_equation,
     lincomb,
 )
@@ -43,11 +44,12 @@ class VerificationReport:
         return self.route_agreement and all(r.is_zero() for r in self.residuals)
 
 
-def _shift_problem(b: Matrix, phi: ElementColumn, x0) -> tuple[int, int, list[list[int]], tuple[Fraction, ...]]:
-    """``(n, D, M, x0)`` for a shift problem: phi is a sequence column, phi and x0 fit B = M/D."""
+def _shift_problem(
+    b: Matrix, phi: ElementColumn, x0, reads: int
+) -> tuple[int, int, list[list[int]], tuple[Fraction, ...]]:
+    """``(n, D, M, x0)``: phi and x0 fit B = M/D, and the shift acts ``reads`` times on phi (`check_acts_on`)."""
     n = b.n
-    if not isinstance(conform(n, phi, "free column")[0], FiniteSequence):
-        raise ValueError("the shift problem needs a sequence free column")
+    check_acts_on(OperatorKind.SHIFT, conform(n, phi, "free column")[0], reads)
     start = conform(n, as_column(x0), "initial column")
     den, m = b.int_form()
     return n, den, m, start
@@ -56,20 +58,19 @@ def _shift_problem(b: Matrix, phi: ElementColumn, x0) -> tuple[int, int, list[li
 def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> ElementColumn:
     """Iterate x(t+1) = B x(t) + phi(t) exactly from x(t0) = x0.
 
-    Returns the n trajectories as sequences over t0 .. t0 + steps.  With
-    B = M/D, phi(t) = P(t)/Q (Q the lcm of the denominators of phi's integer
-    forms, read once per call) and the state x(t) = X/S (X ints, S > 0), one
-    step is X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').
-    The step's values are the Fractions X'_i / S', and each one's gcd gives
-    that reduction too: gcd(S', X') is the gcd of the S' / denominator.
-    Each trajectory is born with its integer form over L, the lcm of the
-    S(t): value t is X(t) (L / S(t)) over L.
+    Returns the n trajectories as sequences over t0 .. t0 + steps, reading
+    phi up to t0 + steps - 1 (`_shift_problem`).  With B = M/D, phi(t) =
+    P(t)/Q (Q the lcm of the denominators of phi's integer forms, read once
+    per call) and the state x(t) = X/S (X ints, S > 0), one step is
+    X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').  The
+    step's values are the Fractions X'_i / S', and each one's gcd gives that
+    reduction too: gcd(S', X') is the gcd of the S' / denominator.  Each
+    trajectory is born with its integer form over L, the lcm of the S(t):
+    value t is X(t) (L / S(t)) over L.
     """
-    n, den, m, start = _shift_problem(b, phi, x0)
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if phi.entries[0].horizon < steps:
-        raise HorizonError(f"free column horizon {phi.entries[0].horizon} < steps {steps}")
+    n, den, m, start = _shift_problem(b, phi, x0, steps - 1)
     t0 = phi.entries[0].origin
     scale, (x,) = clear_denominators([start])
     forms = [entry.int_form() for entry in phi.entries]
@@ -103,11 +104,9 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
     which for the shift kind equals the trajectory value x_i(t0 + j).  With
     B = M/D and x(t0), phi(t0 + k) cleared together to X/S, P_k/S, column j
     is (M^j X + sum_k D^(k+1) M^(j-1-k) P_k) / (D^j S) over ints; each power
-    M^j is computed once.
+    M^j is computed once.  phi is read up to t0 + n - 2 (`_shift_problem`).
     """
-    n, den, m, start = _shift_problem(b, phi, x0)
-    if phi.entries[0].horizon < n - 1:
-        raise HorizonError(f"free column horizon {phi.entries[0].horizon} too short for power {n - 1}")
+    n, den, m, start = _shift_problem(b, phi, x0, b.n - 2)
     phi_at_t0 = ([entry.values[k] for entry in phi.entries] for k in range(n - 1))
     scale, (x, *p) = clear_denominators([start, *phi_at_t0])
     powers = [[[int(r == c) for c in range(n)] for r in range(n)]]
@@ -163,10 +162,10 @@ def solve_cauchy(
     Returns (trajectories, verification, derived) where derived[i-1][j-1]
     is the initial value of the j-th operator power of variable i.  The
     residuals of the reduced scalar equations are comparable on
-    t0 .. t0 + horizon - n, so the horizon must exceed n.
+    t0 .. t0 + horizon - n, so the horizon must exceed n (`HorizonError`).
     """
     if horizon < b.n + 1:
-        raise ValueError(f"horizon must be >= n + 1 = {b.n + 1}, got {horizon}")
+        raise HorizonError(f"horizon must be >= n + 1 = {b.n + 1}, got {horizon}")
     trajectories = iterate_difference(b, phi, x0, horizon)
     verification = verify_total_reduction(b, trajectories, phi, OperatorKind.SHIFT)
     return trajectories, verification, derived_initial_conditions(b, phi, x0)

@@ -7,11 +7,12 @@ rationals; no floating point is accepted anywhere.  Scalars are
 dense and square, with exact determinants.  A `Matrix` carries its integer
 form ``(D, rows)``, D the lcm of the entry denominators, fixed at birth and
 read through `Matrix.int_form`; determinants, products (`matmul_int`,
-`mat_vec`), equality and hashing read that form, so no consumer clears a
-matrix again.  A producer that has the form already (the adjugate
-coefficients, the anchored minor tables) hands it to `_born_matrix`, and
-the `Fraction` rows are built only when `Matrix.rows` is first read.
-`Matrix` has no arithmetic operators.
+`mat_vec`), equality and hashing read that form.  Two consumers still read
+`Matrix.rows` (`ReducedSystem.rhs_evaluated`, `cauchy.manufacture_solution`)
+and hand the `Fraction`s to `lincomb`, which clears them again.  A producer
+that has the form already (the adjugate coefficients, the anchored minor
+tables) hands it to `_born_matrix`, and the `Fraction` rows are built only
+when `Matrix.rows` is first read.  `Matrix` has no arithmetic operators.
 
 Row/column index arguments on the public surface are 1-based.
 """
@@ -58,7 +59,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction or rational literal string; floats are rejected."""
+    """Coerce an int, Fraction or rational literal string; a float, a bool or anything else is rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -67,7 +68,9 @@ def as_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"not an exact rational: {value!r} (floats are not accepted)")
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} not accepted; use a rational literal string")
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 def as_column(values: Iterable) -> tuple[Fraction, ...]:

@@ -159,9 +159,8 @@ class FiniteSequence(OperatorElement):
         return self.values[k]
 
     def shift(self) -> "FiniteSequence":
-        """New window with value e(t+1) at each t; horizon shrinks by one."""
-        if self.horizon < 2:
-            raise HorizonError("cannot shift a horizon-1 sequence")
+        """New window with value e(t+1) at each t; its horizon (> 1, `check_acts_on`) shrinks by one."""
+        check_acts_on(OperatorKind.SHIFT, self, 1)
         den, ints = self._form
         return _born(FiniteSequence, self.values[1:], (den, ints[1:]), self.origin)
 

@@ -23,10 +23,12 @@ must be equal, coefficient by coefficient; `ReducedSystem` equality is that
 check, so the cross-check route evaluates no right-hand side, and the
 package treats any disagreement as a bug, never as noise.  Taking the zero
 operator collapses the machinery to Cramer's rule, which is exposed
-directly as `cramer_solve` and cross-checkable through the pipeline via
-`cramer_via_zero_reduction`.  The identity checks of the oracle live here
-too: `lemma2_check` compares the two routes' coefficients, and
-`lemma1_check`, re-exported from `faddeev`, tests their recurrence.
+directly as `cramer_solve` (Bareiss determinants) and cross-checked by
+`cramer_via_zero_reduction` on the production route; only the oracle and
+the cross-checks of `reduce`, `verify` and `solve` enumerate minors.  The
+identity checks of the oracle live here too: `lemma2_check` compares the
+two routes' coefficients, and `lemma1_check`, re-exported from `faddeev`,
+tests their recurrence.
 """
 
 from __future__ import annotations
@@ -118,14 +120,14 @@ def cramer_solve(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
 
 
 def cramer_via_zero_reduction(b: Matrix, phi: Sequence) -> tuple[Fraction, ...]:
-    """Same solution through the zero-operator reduction pipeline.
+    """Same solution through the zero-operator reduction on the production route.
 
     With the zero operator only the order-n term survives, so each reduced
-    equation degenerates to d_n * x_i = psi_i with psi_i the anchored full
-    determinant of the substituted matrix; this is Cramer's rule in disguise.
+    equation is d_n x_i = (row i of B_{n-1}) . phi, both from the trace
+    recurrence: Cramer's rule in disguise, independent of `cramer_solve`.
     """
     column = ElementColumn(Polynomial([c]) for c in as_column(phi))
-    reduced = total_reduce_minors(b, column, OperatorKind.ZERO)
+    reduced = total_reduce_adjugate(b, column, OperatorKind.ZERO)
     dn = reduced.cp.coefficient(b.n)
     if dn == 0:
         raise SingularMatrixError("system matrix is singular (determinant zero)")

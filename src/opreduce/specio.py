@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import Matrix, parse_rational
+from .exactcore import Matrix, as_rational
 from .operators import ElementColumn, FiniteSequence, OperatorElement, OperatorKind, Polynomial
 
 
@@ -55,13 +55,9 @@ def _fail(path: str, message: str) -> SpecError:
 
 
 def _parse_literal(value, path: str) -> Fraction:
-    if isinstance(value, float):
-        raise _fail(path, f"float literal {value!r} not accepted; use a rational string")
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise _fail(path, f"expected a rational literal string, got {value!r}")
     try:
-        return parse_rational(str(value))
-    except ValueError as exc:
+        return as_rational(value)
+    except (TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from None
 
 

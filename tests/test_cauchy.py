@@ -376,13 +376,46 @@ class TestSolveCauchy:
         phi = random_sequence_column(rng, 2, horizon=8)
         with pytest.raises(ValueError, match="initial column has 1 entries"):
             solve_cauchy(b, phi, (Fraction(1),), 5)
-        with pytest.raises(ValueError, match="horizon must be >= n \\+ 1 = 3, got 2"):
+        with pytest.raises(HorizonError) as short:
             solve_cauchy(b, phi, (Fraction(1), Fraction(0)), 2)
-        with pytest.raises(HorizonError, match="free column horizon 8 < steps 9"):
+        assert str(short.value) == "horizon must be >= n + 1 = 3, got 2"
+        with pytest.raises(HorizonError) as past:
             solve_cauchy(b, phi, (Fraction(1), Fraction(0)), 9)
+        assert str(past.value) == "shift^8 needs horizon > 8, got 8"
 
     def test_polynomial_phi_rejected(self, rng):
         b = random_matrix(rng, 2)
         phi = ElementColumn([Polynomial([1]), Polynomial([2])])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError) as excinfo:
             solve_cauchy(b, phi, (Fraction(1), Fraction(0)), 5)
+        assert str(excinfo.value) == "shift operator acts on sequences"
+
+
+# every shortfall of the shift problem is a HorizonError; all but solve_cauchy's own
+# rule (horizon > n) are check_acts_on's, naming the last shift of phi that is read
+SHIFT_SHORTFALLS = {
+    "solve_cauchy at horizon n": (
+        lambda: solve_cauchy(zero_matrix(3), zero_phi(3, 8), (0, 0, 0), 3),
+        "horizon must be >= n + 1 = 4, got 3",
+    ),
+    "iterate_difference one step past phi": (
+        lambda: iterate_difference(identity(2), zero_phi(2, 3), (0, 0), 4),
+        "shift^3 needs horizon > 3, got 3",
+    ),
+    "derived_initial_conditions with phi of horizon n - 2": (
+        lambda: derived_initial_conditions(identity(4), zero_phi(4, 2), (0, 0, 0, 0)),
+        "shift^2 needs horizon > 2, got 2",
+    ),
+    "shift of a horizon-1 sequence": (
+        lambda: FiniteSequence(0, [1]).shift(),
+        "shift^1 needs horizon > 1, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_SHORTFALLS))
+def test_every_shift_shortfall_is_a_horizon_error(case):
+    call, message = SHIFT_SHORTFALLS[case]
+    with pytest.raises(HorizonError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

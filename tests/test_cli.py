@@ -250,7 +250,7 @@ class TestSolve:
 
     def test_horizon_past_the_free_column(self, capsys, tmp_path):
         rc, out, err = run_cli(capsys, ["solve", "--spec", self.homogeneous_spec(tmp_path), "--horizon", "6"])
-        assert (rc, out, err) == (2, "", "error: free column horizon 5 < steps 6\n")
+        assert (rc, out, err) == (2, "", "error: shift^5 needs horizon > 5, got 5\n")
 
     def test_missing_initial(self, capsys, tmp_path):
         spec = write_spec(
@@ -379,8 +379,8 @@ class TestCramer:
         assert "zero" in err
 
     def test_determinants_per_command(self, capsys, monkeypatch):
-        # det(B) in cramer_solve and in the minor route's char_poly_minors,
-        # plus the three substituted matrices; d_n comes from the minor route
+        # det(B) in cramer_solve plus the three substituted matrices; the
+        # pipeline takes d_n and B_{n-1} from the trace recurrence, with no det
         calls = []
         original = exactcore.det
 
@@ -391,7 +391,7 @@ class TestCramer:
         patch_everywhere(monkeypatch, original, counting_det)
         rc, _, _ = run_cli(capsys, ["cramer", "--spec", str(DATA_DIR / "zero_3x3.json")])
         assert rc == 0
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_nonconstant_phi_rejected(self, capsys, tmp_path):
         spec = write_spec(
@@ -665,6 +665,37 @@ class TestSpecParsing:
         rc, _, err = run_cli(capsys, ["reduce", "--spec", spec])
         assert rc == 2
         assert "float" in err
+
+    @pytest.mark.parametrize(
+        "literal, reason",
+        [
+            (None, "not an exact rational: None"),
+            ([1], "not an exact rational: [1]"),
+            ({}, "not an exact rational: {}"),
+            (True, "bool is not a rational scalar"),
+            (0.5, "float 0.5 not accepted; use a rational literal string"),
+        ],
+        ids=["null", "list", "object", "true", "float"],
+    )
+    @pytest.mark.parametrize("field", ["matrix[0][1]", "phi[0].values[0]", "initial.x0[1]"])
+    def test_non_literal_names_field(self, capsys, tmp_path, literal, reason, field):
+        payload = {
+            "n": 2,
+            "matrix": [["1", "2"], ["3", "4"]],
+            "operator": "shift",
+            "phi": [{"origin": 0, "values": ["0"] * 4} for _ in range(2)],
+            "initial": {"t0": 0, "x0": ["1", "0"]},
+            "horizon": 3,
+        }
+        slot = {
+            "matrix[0][1]": (payload["matrix"][0], 1),
+            "phi[0].values[0]": (payload["phi"][0]["values"], 0),
+            "initial.x0[1]": (payload["initial"]["x0"], 1),
+        }
+        target, index = slot[field]
+        target[index] = literal
+        rc, out, err = run_cli(capsys, ["solve", "--spec", write_spec(tmp_path, payload)])
+        assert (rc, out, err) == (2, "", f"error: spec field {field}: {reason}\n")
 
     def test_zero_dimension_rejected(self, capsys, tmp_path):
         spec = write_spec(tmp_path, {"n": 0, "matrix": [], "operator": "zero", "phi": []})

@@ -67,6 +67,18 @@ class TestRationalLiterals:
         with pytest.raises(TypeError):
             as_rational(True)
 
+    def test_as_rational_names_each_rejected_kind(self):
+        for value, message in [
+            (0.5, "float 0.5 not accepted; use a rational literal string"),
+            (True, "bool is not a rational scalar"),
+            ([1], "not an exact rational: [1]"),
+            (None, "not an exact rational: None"),
+            ({}, "not an exact rational: {}"),
+        ]:
+            with pytest.raises(TypeError) as excinfo:
+                as_rational(value)
+            assert str(excinfo.value) == message
+
 
 class TestMatrixBasics:
     def test_shape_validation(self):
