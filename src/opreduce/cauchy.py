@@ -93,7 +93,7 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     trajectories = []
     for i in range(n):
         form = (common, [nums[i] * f for (nums, _), f in zip(states, factors)])
-        trajectories.append(_born(FiniteSequence, tuple(v[i] for v in values), form, t0))
+        trajectories.append(_born(FiniteSequence, form, t0, tuple(v[i] for v in values)))
     return ElementColumn(trajectories)
 
 
@@ -125,12 +125,14 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
 def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> ElementColumn:
     """Free column that makes x a solution by construction: A(x) - B x, one `lincomb` call.
 
-    Row i of the scalars is [e_i | -(row i of B)] over the elements (A(x), x).
+    With B = M/D, row i of the scalars is [D e_i | -(row i of M)] over D,
+    applied to the elements (A(x), x).
     """
     n = b.n
     conform(n, x, "solution column")
-    scalar_rows = [[int(i == j) for j in range(n)] + [-c for c in row] for i, row in enumerate(b.rows())]
-    return ElementColumn(lincomb(scalar_rows, (*apply_vector(kind, x), *x)))
+    den, m = b.int_form()
+    scalar_rows = [[den * (i == j) for j in range(n)] + [-c for c in row] for i, row in enumerate(m)]
+    return ElementColumn(lincomb((den, scalar_rows), (*apply_vector(kind, x), *x)))
 
 
 def verify_total_reduction(

@@ -345,20 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_spec=True):
+    def add_common(p, needs_spec=True, enumerates=False):
+        """--spec for a spec command, --out and --format; --nmax for one that enumerates minors."""
         if needs_spec:
             p.add_argument("--spec", required=True, help="path to the system spec file (JSON)")
         p.add_argument("--out", default="-", help="output path, or - for stdout")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        if needs_spec:
+        if enumerates:
             p.add_argument("--nmax", type=int, default=BRUTE_FORCE_CAP, help="brute-force dimension cap")
 
     p_reduce = sub.add_parser("reduce", help="emit the totally reduced system (both routes)")
-    add_common(p_reduce)
+    add_common(p_reduce, enumerates=True)
     p_reduce.set_defaults(func=cmd_reduce, text=_reduce_text)
 
     p_solve = sub.add_parser("solve", help="iterate a shift-kind system and verify the reduction")
-    add_common(p_solve)
+    add_common(p_solve, enumerates=True)
     p_solve.add_argument("--horizon", type=int, default=None, help="trajectory length override")
     p_solve.set_defaults(func=cmd_solve, text=_solve_text)
 
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle, text=_oracle_text)
 
     p_verify = sub.add_parser("verify", help="check a candidate solution against the reduced system")
-    add_common(p_verify)
+    add_common(p_verify, enumerates=True)
     p_verify.set_defaults(func=cmd_verify, text=_verify_text)
 
     return parser
@@ -397,7 +398,7 @@ def _report(args) -> bool:
     operands = [args]
     if args.command != "oracle":
         spec = load_spec(args.spec)
-        if spec.n > args.nmax:
+        if hasattr(args, "nmax") and spec.n > args.nmax:
             raise SpecError(
                 f"dimension n = {spec.n} exceeds the brute-force cap {args.nmax}; "
                 "raise --nmax to override"

@@ -7,12 +7,12 @@ rationals; no floating point is accepted anywhere.  Scalars are
 dense and square, with exact determinants.  A `Matrix` carries its integer
 form ``(D, rows)``, D the lcm of the entry denominators, fixed at birth and
 read through `Matrix.int_form`; determinants, products (`matmul_int`,
-`mat_vec`), equality and hashing read that form.  Two consumers still read
-`Matrix.rows` (`ReducedSystem.rhs_evaluated`, `cauchy.manufacture_solution`)
-and hand the `Fraction`s to `lincomb`, which clears them again.  A producer
-that has the form already (the adjugate coefficients, the anchored minor
-tables) hands it to `_born_matrix`, and the `Fraction` rows are built only
-when `Matrix.rows` is first read.  `Matrix` has no arithmetic operators.
+`mat_vec`), equality, hashing and the scalars of every `lincomb` read that
+form.  Only reports read `Matrix.rows` (the terms of a `reduce` report).  A
+producer that has the form already (the adjugate coefficients, the anchored
+minor tables) hands it to `_born_matrix`, and the `Fraction` rows are built
+only when `Matrix.rows` is first read.  `Matrix` has no arithmetic
+operators.
 
 Row/column index arguments on the public surface are 1-based.
 """

@@ -5,25 +5,29 @@ sequences, the formal derivative on rational-coefficient polynomials, and the
 zero operator on either (which degenerates the whole reduction pipeline to
 Cramer's rule).
 
-Both kinds of element are one `OperatorElement`: a tuple of `Fraction`
-``values`` (a sequence's window or a polynomial's ascending coefficients), an
-``origin`` (a sequence's first time, ``None`` for a polynomial) and the same
-values in one integer form ``(D, ints)``, ``Fraction(ints[t], D) ==
-values[t]``.  Equality, hashing and the zero test live on that base; the
-subclasses add only their operator and window semantics.
+Both kinds of element are one `OperatorElement`: an ``origin`` (a
+sequence's first time, ``None`` for a polynomial) and its values (a
+sequence's window or a polynomial's ascending coefficients) in one integer
+form ``(D, ints)``, value t being ``Fraction(ints[t], D)``.  The tuple of
+`Fraction` ``values`` is built from the form when first read; every
+computation (combination, shift, derivative, the zero test, a sequence's
+horizon, a polynomial's degree) reads the form.  Equality and hashing, on
+the values, live on that base; the subclasses add only their operator and
+window semantics.
 
 Sequences are finite tables, not closed-form generators: a shift consumes one
 step of horizon instead of inventing data, so callers must provision enough
 horizon for the verification window they want.  Every combination of
-elements goes through `lincomb`: sequences with the same origin combine on
-the largest window where all are defined, polynomials on the longest
-coefficient list.  It reads the elements' integer forms and hands each output
-its own.
+elements goes through `lincomb`, whose scalars come in integer form too:
+sequences with the same origin combine on the largest window where all are
+defined, polynomials on the longest coefficient list.  It reads the
+elements' integer forms and hands each output its own.
 
-The public constructors coerce and check their input and clear it once; a
-producer that already has both values and form (a shift, a derivative, a
-`lincomb` output, an iterated trajectory) hands them to `_born`, which trusts
-them, so the shifted copies of one sequence share one clearing.
+The public constructors coerce and check their input and clear it once,
+keeping the `Fraction`s they were given; a producer that has the form (a
+shift, a derivative, a `lincomb` output) hands it to `_born`, which trusts
+it, so the shifted copies of one sequence share one clearing, and one that
+has both values and form (an iterated trajectory) hands over both.
 """
 
 from __future__ import annotations
@@ -54,11 +58,19 @@ class OperatorKind(enum.Enum):
 class OperatorElement:
     """An element of the operator's vector space; all of its arithmetic goes through `lincomb`."""
 
-    __slots__ = ("origin", "values", "_form")
+    __slots__ = ("origin", "_values", "_form")
 
     def int_form(self) -> tuple[int, list[int]]:
         """``(D, ints)`` with ``Fraction(ints[t], D)`` equal to value t, fixed at birth."""
         return self._form
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as `Fraction`s, built from the integer form when first read."""
+        if self._values is None:
+            den, ints = self._form
+            self._values = tuple(Fraction(a, den) for a in ints)
+        return self._values
 
     def is_zero(self) -> bool:
         return not any(self._form[1])
@@ -72,26 +84,31 @@ class OperatorElement:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return lincomb([(1, 1)], (self, other))[0]
+        return lincomb((1, [[1, 1]]), (self, other))[0]
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return lincomb([(1, -1)], (self, other))[0]
+        return lincomb((1, [[1, -1]]), (self, other))[0]
 
     def __neg__(self):
-        return lincomb([(-1,)], (self,))[0]
+        return lincomb((1, [[-1]]), (self,))[0]
 
     def __rmul__(self, scalar):
-        return lincomb([(scalar,)], (self,))[0]
+        q = as_rational(scalar)
+        return lincomb((q.denominator, [[q.numerator]]), (self,))[0]
 
     __mul__ = __rmul__
 
 
-def _born(cls, values: tuple[Fraction, ...], form: tuple[int, list[int]], origin=None) -> OperatorElement:
-    """An element of ``cls`` holding ``values``, their form and a sequence's ``origin``, all trusted unchecked."""
+def _born(cls, form: tuple[int, list[int]], origin=None, values=None) -> OperatorElement:
+    """An element of ``cls`` holding ``form``, a sequence's ``origin`` and, if given, its ``values``.
+
+    All are trusted unchecked: D > 0, a polynomial's ints have no trailing
+    zero, and the values, if the producer has them, equal the form's.
+    """
     element = object.__new__(cls)
-    element.origin, element.values, element._form = origin, values, form
+    element.origin, element._values, element._form = origin, values, form
     return element
 
 
@@ -105,7 +122,7 @@ class Polynomial(OperatorElement):
         while cs and cs[-1] == 0:
             cs.pop()
         den, (ints,) = clear_denominators([cs])
-        self.origin, self.values, self._form = None, tuple(cs), (den, ints)
+        self.origin, self._values, self._form = None, tuple(cs), (den, ints)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -113,13 +130,12 @@ class Polynomial(OperatorElement):
 
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.values) - 1
+        return len(self._form[1]) - 1
 
     def derivative(self) -> "Polynomial":
         # k c_k keeps the leading coefficient nonzero, so there is nothing to strip
         den, ints = self._form
-        ints = [k * c for k, c in enumerate(ints) if k >= 1]
-        return _born(Polynomial, tuple(Fraction(a, den) for a in ints), (den, ints))
+        return _born(Polynomial, (den, [k * c for k, c in enumerate(ints) if k >= 1]))
 
     def evaluate(self, t) -> Fraction:
         point = as_rational(t)
@@ -146,11 +162,11 @@ class FiniteSequence(OperatorElement):
         if not vals:
             raise HorizonError("sequence needs horizon >= 1")
         den, (ints,) = clear_denominators([vals])
-        self.origin, self.values, self._form = origin, vals, (den, ints)
+        self.origin, self._values, self._form = origin, vals, (den, ints)
 
     @property
     def horizon(self) -> int:
-        return len(self.values)
+        return len(self._form[1])
 
     def value_at(self, t: int) -> Fraction:
         k = t - self.origin
@@ -162,7 +178,7 @@ class FiniteSequence(OperatorElement):
         """New window with value e(t+1) at each t; its horizon (> 1, `check_acts_on`) shrinks by one."""
         check_acts_on(OperatorKind.SHIFT, self, 1)
         den, ints = self._form
-        return _born(FiniteSequence, self.values[1:], (den, ints[1:]), self.origin)
+        return _born(FiniteSequence, (den, ints[1:]), self.origin)
 
     def __repr__(self) -> str:
         return f"FiniteSequence(origin={self.origin}, values=[{', '.join(map(str, self.values))}])"
@@ -244,24 +260,28 @@ def apply_vector(kind: OperatorKind, col: ElementColumn) -> ElementColumn:
 
 
 def lincomb(
-    scalar_rows: Sequence[Sequence], elements: Sequence[OperatorElement]
+    scalars: tuple[int, Sequence[Sequence[int]]], elements: Sequence[OperatorElement]
 ) -> tuple[OperatorElement, ...]:
     """Exact rational linear combinations of elements of one variant, one per row.
 
-    Every row of scalars is as long as ``elements`` and gives one element:
-    sequences (one origin) are summed value by value on the shortest window,
-    polynomials coefficient by coefficient up to the longest coefficient
-    list.  All rows are brought to one denominator, once per call, and the
-    elements' integer forms to their common denominator L by folding each
-    factor L // D into the scalars, so each output value is one integer dot
-    product, made a `Fraction` once.  Each output carries its form, reduced
-    by the gcd of its denominator and values.
+    ``scalars`` is in integer form ``(Q, rows)``, the shape that
+    `clear_denominators` and `Matrix.int_form` return: Q > 0, and row r's
+    scalar j is ``Fraction(rows[r][j], Q)``.  Every row is as long as
+    ``elements`` and gives one element: sequences (one origin) are summed
+    value by value on the shortest window, polynomials coefficient by
+    coefficient up to the longest coefficient list.  The elements' integer
+    forms are brought to their common denominator L by folding each factor
+    L // D into the scalars, so each output value is one integer dot
+    product over Q L.  Each output is born from its form alone, reduced by
+    the gcd of its denominator and values; its `Fraction` values are built
+    when first read.
     """
+    q_den, q_ints = scalars
     if not elements:
         raise ValueError("lincomb needs at least one element")
-    if not scalar_rows:
+    if not q_ints:
         raise ValueError("lincomb needs at least one row of scalars")
-    if any(len(row) != len(elements) for row in scalar_rows):
+    if any(len(row) != len(elements) for row in q_ints):
         raise ValueError("lincomb needs rows as long as the element list")
     first = elements[0]
     if not isinstance(first, OperatorElement) or any(type(e) is not type(first) for e in elements):
@@ -269,10 +289,8 @@ def lincomb(
     if any(e.origin != first.origin for e in elements):
         raise HeterogeneousColumnError("cannot combine sequences with different origins")
     is_sequence = isinstance(first, FiniteSequence)
-    width = (min if is_sequence else max)(len(e.values) for e in elements)
-    coeff_rows = [as_column(row) for row in scalar_rows]
-    q_den, q_ints = clear_denominators(coeff_rows)
     forms = [e.int_form() for e in elements]
+    width = (min if is_sequence else max)(len(ints) for _, ints in forms)
     v_den = lcm(*(d for d, _ in forms))
     factors = [v_den // d for d, _ in forms]
     den = q_den * v_den
@@ -285,10 +303,7 @@ def lincomb(
             while row and not row[-1]:
                 row.pop()
         g = gcd(den, *row)
-        d = den // g
-        row = [a // g for a in row]
-        values = tuple(Fraction(a, d) for a in row)
-        results.append(_born(type(first), values, (d, row), first.origin))
+        results.append(_born(type(first), (den // g, [a // g for a in row]), first.origin))
     return tuple(results)
 
 
@@ -302,4 +317,4 @@ def eval_scalar_equation(cp, kind: OperatorKind, x: OperatorElement, psi: Operat
     powers = [x]
     for _ in range(cp.n):
         powers.append(apply(kind, powers[-1]))
-    return lincomb([(1, *cp.d, -1)], (*powers[::-1], psi))[0]
+    return lincomb(clear_denominators([(1, *cp.d, -1)]), (*powers[::-1], psi))[0]

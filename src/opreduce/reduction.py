@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactcore import DimensionError, Matrix, as_column, column_substitute, conform, det
@@ -78,10 +79,13 @@ class ReducedSystem:
         n = self.ac.n
         powers = _operator_powers(self.kind, self.phi, n)
         # every right-hand side in one combination: n rows of scalars over the
-        # n^2 entries of A^(n-1) phi, ..., A^0 phi, so each entry is cleared once
-        scalar_rows = [[c for coeff in self.ac.coeffs for c in coeff.rows()[i]] for i in range(n)]
+        # n^2 entries of A^(n-1) phi, ..., A^0 phi, the B_k forms brought to their lcm
+        forms = [coeff.int_form() for coeff in self.ac.coeffs]
+        den = lcm(*(d for d, _ in forms))
+        factors = [den // d for d, _ in forms]
+        scalar_rows = [[c * f for (_, m), f in zip(forms, factors) for c in m[i]] for i in range(n)]
         elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
-        return ElementColumn(lincomb(scalar_rows, elements))
+        return ElementColumn(lincomb((den, scalar_rows), elements))
 
 
 def _check_system(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> None:

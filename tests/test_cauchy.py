@@ -251,9 +251,10 @@ class TestManufactureSolution:
         calls = []
         original = lincomb
 
-        def counting_lincomb(scalar_rows, elements):
+        def counting_lincomb(scalars, elements):
+            _, scalar_rows = scalars
             calls.append((len(scalar_rows), len(elements)))
-            return original(scalar_rows, elements)
+            return original(scalars, elements)
 
         patch_everywhere(monkeypatch, original, counting_lincomb)
         n = 3

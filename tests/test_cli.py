@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 
 from conftest import DATA_DIR, patch_everywhere
-from opreduce import cli, exactcore, faddeev, minors
+from opreduce import cli, exactcore, faddeev, minors, specio
 from opreduce.cauchy import manufacture_solution
 from opreduce.cli import main
 from opreduce.exactcore import Matrix
@@ -393,6 +394,30 @@ class TestCramer:
         assert rc == 0
         assert len(calls) == 4
 
+    def test_no_brute_force_cap(self, capsys, tmp_path):
+        # cramer enumerates no minors, so it runs above the cap of the commands that do
+        rng = random.Random(13)
+        n = cli.BRUTE_FORCE_CAP + 1
+
+        def literal():
+            return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+
+        spec = write_spec(
+            tmp_path,
+            {
+                "n": n,
+                "matrix": [[literal() for _ in range(n)] for _ in range(n)],
+                "operator": "zero",
+                "phi": [literal() for _ in range(n)],
+            },
+        )
+        rc, out, err = run_cli(capsys, ["cramer", "--spec", spec, "--format", "json"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["pipeline_agreement"] is True
+        with pytest.raises(SystemExit):
+            main(["cramer", "--spec", spec, "--nmax", "20"])
+        assert "unrecognized arguments: --nmax 20" in capsys.readouterr().err
+
     def test_nonconstant_phi_rejected(self, capsys, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -501,6 +526,40 @@ class TestIntegerForms:
         if argv[0] == "oracle":
             # an oracle report holds no matrix, so no Fraction row is built at all
             assert read == []
+
+    def test_only_the_reduce_report_reads_fraction_rows(self, capsys, monkeypatch):
+        # every computation reads the integer forms; reduce's report alone
+        # formats its terms from the rows of the coefficient matrices
+        reads = {"report": 0, "elsewhere": 0}
+        in_report = []
+        original_rows = Matrix.rows
+        original_report = specio.reduced_to_json
+
+        def counting_rows(m):
+            reads["report" if in_report else "elsewhere"] += 1
+            return original_rows(m)
+
+        def marking_report(reduced):
+            in_report.append(True)
+            try:
+                return original_report(reduced)
+            finally:
+                in_report.pop()
+
+        monkeypatch.setattr(Matrix, "rows", counting_rows)
+        patch_everywhere(monkeypatch, original_report, marking_report)
+        for command, spec in [
+            ("verify", "shift_2x2_x.json"),
+            ("solve", "shift_3x3_long.json"),
+            ("cramer", "zero_3x3.json"),
+            ("reduce", "shift_2x2_x.json"),
+        ]:
+            for fmt in ("json", "text"):
+                rc, _, _ = run_cli(capsys, [command, "--spec", str(DATA_DIR / spec), "--format", fmt])
+                assert rc in (0, 4)
+                assert reads["elsewhere"] == 0, (command, fmt)
+                assert (reads["report"] > 0) == (command == "reduce"), (command, fmt)
+                reads["report"] = 0
 
 
 class TestVerify:

@@ -12,9 +12,10 @@ from conftest import (
     random_polynomial_column,
     random_sequence_column,
 )
+from opreduce import operators as operators_module
 from opreduce.cauchy import iterate_difference
-from opreduce.exactcore import Matrix
-from opreduce.faddeev import CharPoly
+from opreduce.exactcore import Matrix, as_rational, clear_denominators
+from opreduce.faddeev import CharPoly, adjugate_coeffs
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
@@ -177,21 +178,21 @@ class TestColumns:
 
     def test_lincomb_cancellation(self):
         e = Polynomial([4, 5])
-        assert lincomb([[1, -1]], [e, e])[0].is_zero()
+        assert lincomb(clear_denominators([[1, -1]]), [e, e])[0].is_zero()
         s = FiniteSequence(0, [1, 2, 3])
-        assert lincomb([[1, -1]], [s, s])[0].is_zero()
+        assert lincomb(clear_denominators([[1, -1]]), [s, s])[0].is_zero()
 
     def test_lincomb_validation(self):
         with pytest.raises(ValueError):
-            lincomb([[1, 2]], [Polynomial([1])])
+            lincomb(clear_denominators([[1, 2]]), [Polynomial([1])])
         with pytest.raises(ValueError):
-            lincomb([[]], [])
+            lincomb(clear_denominators([[]]), [])
         with pytest.raises(HeterogeneousColumnError):
-            lincomb([[1, 1]], [FiniteSequence(0, [1, 2]), FiniteSequence(1, [1, 2])])
+            lincomb(clear_denominators([[1, 1]]), [FiniteSequence(0, [1, 2]), FiniteSequence(1, [1, 2])])
         with pytest.raises(TypeError):
-            lincomb([[1, 1]], [Polynomial([1]), FiniteSequence(0, [1])])
+            lincomb(clear_denominators([[1, 1]]), [Polynomial([1]), FiniteSequence(0, [1])])
         with pytest.raises(TypeError):
-            lincomb([[1, 1]], [FiniteSequence(0, [1]), Polynomial([1])])
+            lincomb(clear_denominators([[1, 1]]), [FiniteSequence(0, [1]), Polynomial([1])])
         with pytest.raises(TypeError):
             Polynomial([1]) + FiniteSequence(0, [1])
 
@@ -278,7 +279,7 @@ class TestLincomb:
             top = sum(q * cs[-1] for q, cs in zip(scalars, coeff_lists) if len(cs) == width)
             scalars.append(Fraction(1))
             coeff_lists.append((lower + [0] * width)[: width - 1] + [-top])
-        combined = lincomb([scalars], [Polynomial(cs) for cs in coeff_lists])[0]
+        combined = lincomb(clear_denominators([scalars]), [Polynomial(cs) for cs in coeff_lists])[0]
         expected = fold_polynomials(scalars, coeff_lists)
         assert combined == Polynomial(expected)
         assert combined.coeffs == expected
@@ -295,7 +296,9 @@ class TestLincomb:
     def test_sequences_match_a_term_by_term_fold(self, terms, origin):
         scalars = [q for q, _ in terms]
         value_lists = [values for _, values in terms]
-        combined = lincomb([scalars], [FiniteSequence(origin, values) for values in value_lists])[0]
+        combined = lincomb(
+            clear_denominators([scalars]), [FiniteSequence(origin, values) for values in value_lists]
+        )[0]
         assert combined.origin == origin
         assert combined.values == fold_sequences(scalars, value_lists)
         assert combined.horizon == min(len(values) for values in value_lists)
@@ -313,8 +316,10 @@ class TestLincomb:
     def test_large_coprime_denominators_and_zero_scalars(self, terms, all_zero, origin):
         scalars = [Fraction(0) if all_zero else q for q, _ in terms]
         value_lists = [values for _, values in terms]
-        poly = lincomb([scalars], [Polynomial(values) for values in value_lists])[0]
-        seq = lincomb([scalars], [FiniteSequence(origin, values) for values in value_lists])[0]
+        poly = lincomb(clear_denominators([scalars]), [Polynomial(values) for values in value_lists])[0]
+        seq = lincomb(
+            clear_denominators([scalars]), [FiniteSequence(origin, values) for values in value_lists]
+        )[0]
         assert poly.coeffs == fold_polynomials(scalars, value_lists)
         assert seq.values == fold_sequences(scalars, value_lists)
         assert seq.origin == origin
@@ -340,8 +345,8 @@ class TestLincomb:
         dead = data.draw(st.integers(0, m - 1))
         rows = [[Fraction(0) if j == dead else q for j, q in enumerate(row)] for row in rows]
         rows.insert(data.draw(st.integers(0, len(rows))), [Fraction(0)] * m)
-        polys = lincomb(rows, [Polynomial(values) for values in value_lists])
-        seqs = lincomb(rows, [FiniteSequence(origin, values) for values in value_lists])
+        polys = lincomb(clear_denominators(rows), [Polynomial(values) for values in value_lists])
+        seqs = lincomb(clear_denominators(rows), [FiniteSequence(origin, values) for values in value_lists])
         assert len(polys) == len(seqs) == len(rows)
         for row, poly, seq in zip(rows, polys, seqs):
             assert poly.coeffs == fold_polynomials(row, value_lists)
@@ -408,27 +413,27 @@ class TestLincomb:
         for e in (*seqs, *polys, *trajectories):
             check_chain(0 * e, reduced=True)
         for e in (
-            *lincomb(rows, seqs),
-            *lincomb(rows, polys),
-            *lincomb([[1, -1]], [polys[0], twin]),
-            *lincomb([[1, -1]], [seqs[0], seqs[0]]),
-            *lincomb([[2, "1/7919"]], [trajectories[0], trajectories[-1]]),
+            *lincomb(clear_denominators(rows), seqs),
+            *lincomb(clear_denominators(rows), polys),
+            *lincomb(clear_denominators([[1, -1]]), [polys[0], twin]),
+            *lincomb(clear_denominators([[1, -1]]), [seqs[0], seqs[0]]),
+            *lincomb(clear_denominators([[2, as_rational("1/7919")]]), [trajectories[0], trajectories[-1]]),
         ):
             check_chain(e, reduced=True)
 
     def test_row_validation(self):
         with pytest.raises(ValueError):
-            lincomb([], [Polynomial([1])])
+            lincomb(clear_denominators([]), [Polynomial([1])])
         with pytest.raises(ValueError):
-            lincomb([[1], [1, 2]], [Polynomial([1])])
+            lincomb(clear_denominators([[1], [1, 2]]), [Polynomial([1])])
         with pytest.raises(ValueError):
-            lincomb([[1, 2], [1]], [Polynomial([1]), Polynomial([2])])
+            lincomb(clear_denominators([[1, 2], [1]]), [Polynomial([1]), Polynomial([2])])
 
     def test_all_zero_scalars(self):
         seqs = [FiniteSequence(2, ["1/7919", 5, 6]), FiniteSequence(2, [4, "3/7853"])]
-        assert lincomb([[0, 0]], seqs)[0] == FiniteSequence(2, [0, 0])
-        assert lincomb([[0, 0]], [Polynomial([1, 2]), Polynomial([0, 0, 3])])[0] == Polynomial()
-        assert lincomb([[0]], [Polynomial()])[0] == Polynomial()
+        assert lincomb(clear_denominators([[0, 0]]), seqs)[0] == FiniteSequence(2, [0, 0])
+        assert lincomb(clear_denominators([[0, 0]]), [Polynomial([1, 2]), Polynomial([0, 0, 3])])[0] == Polynomial()
+        assert lincomb(clear_denominators([[0]]), [Polynomial()])[0] == Polynomial()
 
     @pytest.mark.parametrize("kind", [SHIFT, DERIV])
     def test_adjugate_route_combines_once_per_variable(self, kind, rng, monkeypatch):
@@ -436,9 +441,10 @@ class TestLincomb:
         calls = []
         original = lincomb
 
-        def counting_lincomb(scalar_rows, elements):
+        def counting_lincomb(scalars, elements):
+            _, scalar_rows = scalars
             calls.append((len(scalar_rows), {len(row) for row in scalar_rows}, len(elements)))
-            return original(scalar_rows, elements)
+            return original(scalars, elements)
 
         patch_everywhere(monkeypatch, original, counting_lincomb)
         for n in (1, 2, 4):
@@ -450,3 +456,78 @@ class TestLincomb:
             # the column is evaluated when first read
             total_reduce_adjugate(random_matrix(rng, n), phi, kind).rhs_evaluated
             assert calls == [(n, {n * n}, n * n)]
+
+
+class TestValuesOnFirstRead:
+    """Shifts, derivatives and combinations are born from their integer forms alone."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        # every Fraction that opreduce.operators builds, by its module-level name
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(operators_module, "Fraction", counting)
+        return made
+
+    @staticmethod
+    def power_values(kind, e, j):
+        """Values of A^j e, one application at a time on plain `Fraction` tuples."""
+        values = e.values
+        for _ in range(j):
+            if kind is SHIFT:
+                values = values[1:]
+            elif kind is DERIV:
+                values = tuple(k * c for k, c in enumerate(values) if k >= 1)
+            else:
+                values = () if isinstance(e, Polynomial) else (Fraction(0),) * len(values)
+        return values
+
+    @pytest.mark.parametrize("kind", [SHIFT, DERIV, ZERO])
+    def test_right_hand_sides(self, kind, rng, made):
+        for n in (1, 2, 4):
+            if kind is DERIV:
+                phi = random_polynomial_column(rng, n, max_degree=5)
+            else:
+                phi = random_sequence_column(rng, n, horizon=n + 3, origin=-2)
+            b = random_matrix(rng, n)
+            made.clear()
+            rhs = total_reduce_adjugate(b, phi, kind).rhs_evaluated
+            assert made == []
+            fold = fold_sequences if isinstance(phi[0], FiniteSequence) else fold_polynomials
+            powers = [self.power_values(kind, e, n - k) for k in range(1, n + 1) for e in phi]
+            for i, e in enumerate(rhs):
+                scalars = [c for coeff in adjugate_coeffs(b).coeffs for c in coeff.rows()[i]]
+                assert e.values == fold(scalars, powers)
+            assert made
+
+    def test_derivative_powers(self, made):
+        p = Polynomial(["1/2", "-3/7", 5, "2/9", "1/7919"])
+        made.clear()
+        chain = [p]
+        while not chain[-1].is_zero():
+            chain.append(chain[-1].derivative())
+        assert made == []
+        for j, e in enumerate(chain):
+            assert e.coeffs == self.power_values(DERIV, p, j)
+            assert e.degree() == len(e.coeffs) - 1
+
+    def test_shifts(self, made):
+        # the form (6, [3, 2, 12, 9]) of 1/2, 1/3, 2, 3/2 shifts to (6, [2, 12, 9]), not reduced
+        s = FiniteSequence(5, ["1/2", "1/3", 2, "3/2"])
+        combined = lincomb(clear_denominators([[Fraction(1, 7919), 2]]), [s, s])[0]
+        made.clear()
+        shifted = [s.shift(), s.shift().shift(), combined.shift(), apply(SHIFT, combined)]
+        assert made == []
+        assert shifted[0].int_form() == (6, [2, 12, 9])
+        assert shifted[1].int_form() == (6, [12, 9])
+        assert [e.horizon for e in shifted] == [3, 2, 3, 3]
+        assert shifted[0].values == (Fraction(1, 3), 2, Fraction(3, 2))
+        assert shifted[1].values == (2, Fraction(3, 2))
+        expected = fold_sequences([Fraction(1, 7919), 2], [s.values, s.values])[1:]
+        assert shifted[2].values == shifted[3].values == expected
+        assert all(type(v) is Fraction for e in shifted for v in e.values)
+        assert shifted[0] == FiniteSequence(5, ["1/3", 2, "3/2"])
