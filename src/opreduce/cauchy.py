@@ -107,7 +107,8 @@ def derived_initial_conditions(b: Matrix, phi: ElementColumn, x0) -> tuple[tuple
     M^j is computed once.  phi is read up to t0 + n - 2 (`_shift_problem`).
     """
     n, den, m, start = _shift_problem(b, phi, x0, b.n - 2)
-    phi_at_t0 = ([entry.values[k] for entry in phi.entries] for k in range(n - 1))
+    forms = [entry.int_form() for entry in phi.entries]
+    phi_at_t0 = ([Fraction(ints[k], d) for d, ints in forms] for k in range(n - 1))
     scale, (x, *p) = clear_denominators([start, *phi_at_t0])
     powers = [[[int(r == c) for c in range(n)] for r in range(n)]]
     while len(powers) < n:

@@ -3,11 +3,12 @@
 The production route interleaves the trace formula d_k = -trace(B_{k-1} B)/k
 with the recurrence B_k = B_{k-1} B + d_k I, giving all coefficients of
 det(lambda*I - B) and of adj(lambda*I - B) in O(n^4) exact operations.  It
-runs over Python ints: it reads the integer form of B (B = M/D), the
-recurrence works on the integer matrix M, where the division by k is exact,
-and each B_k is born from its integer form over D^k.  The division by k
-makes this route sensitive to the field characteristic, which is one reason
-the brute-force minor route stays available as an oracle.
+runs over Python ints: each step reads the integer form of B (B = M/D) and
+that of the coefficient B_{k-1} it stored last, and B_k is born from its
+integer form, reduced by its gcd, with the division by k carried in its
+denominator.  The division by k makes this route sensitive to the field
+characteristic, which is one reason the brute-force minor route stays
+available as an oracle.
 
 The oracle route builds the same `AdjugateCoeffs` from principal-minor
 sums of `minors` (Lemma 2 of the paper): d_k = (-1)^k delta_k(B)
@@ -26,10 +27,6 @@ from fractions import Fraction
 
 from .exactcore import DimensionError, Matrix, _born_matrix, identity, matmul_int
 from .minors import delta_k, delta_k_i_coeffs
-
-
-class RecurrenceError(ArithmeticError):
-    """The integer trace recurrence hit an inexact division; a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -99,30 +96,27 @@ def adjugate_coeffs_minors(b: Matrix) -> AdjugateCoeffs:
 def adjugate_coeffs(b: Matrix) -> AdjugateCoeffs:
     """Matrix coefficients of adj(lambda*I - B), with the characteristic polynomial.
 
-    With B = M/D, D the lcm of the entry denominators, the recurrence
-    C_k = C_{k-1} M + c_k I, c_k = -trace(C_{k-1} M)/k runs over ints; then
-    d_k = c_k/D^k, and B_k is born from its integer form C_k over D^k.  For an
-    integer matrix the trace is an exact multiple of k, so a nonzero
-    remainder raises `RecurrenceError`.
+    Each step reads B = M/D and the coefficient it stored last,
+    B_{k-1} = C/E, both in integer form.  With t = trace(C M), the step gives
+    d_k = -t/(k E D) and B_k = (k C M - t I)/(k E D), and `_born_matrix`
+    reduces that form by its gcd, so the next step starts from the reduced
+    form again.  The division by k is carried in the denominator.
     """
     n = b.n
     den, m = b.int_form()
     d: list[Fraction] = []
     coeffs: list[Matrix] = [identity(n)]
-    c_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    scale = 1
     for k in range(1, n + 1):
-        prod = matmul_int(c_rows, m)
-        ck, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
-        if rem:
-            raise RecurrenceError(f"trace in step {k} of the integer recurrence is not divisible by {k}")
-        scale *= den
-        d.append(Fraction(ck, scale))
+        e, c = coeffs[-1].int_form()
+        prod = matmul_int(c, m)
+        t = sum(prod[i][i] for i in range(n))
+        scale = k * e * den
+        d.append(Fraction(-t, scale))
         if k < n:
+            rows = [[k * x for x in row] for row in prod]
             for i in range(n):
-                prod[i][i] += ck
-            c_rows = prod
-            coeffs.append(_born_matrix(scale, prod))
+                rows[i][i] -= t
+            coeffs.append(_born_matrix(scale, rows))
     return AdjugateCoeffs(tuple(coeffs), CharPoly(tuple(d)))
 
 

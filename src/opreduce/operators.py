@@ -132,11 +132,6 @@ class Polynomial(OperatorElement):
         """Degree, with -1 for the zero polynomial."""
         return len(self._form[1]) - 1
 
-    def derivative(self) -> "Polynomial":
-        # k c_k keeps the leading coefficient nonzero, so there is nothing to strip
-        den, ints = self._form
-        return _born(Polynomial, (den, [k * c for k, c in enumerate(ints) if k >= 1]))
-
     def evaluate(self, t) -> Fraction:
         point = as_rational(t)
         acc = Fraction(0)
@@ -173,12 +168,6 @@ class FiniteSequence(OperatorElement):
         if not 0 <= k < self.horizon:
             raise HorizonError(f"time {t} outside window [{self.origin}, {self.origin + self.horizon - 1}]")
         return self.values[k]
-
-    def shift(self) -> "FiniteSequence":
-        """New window with value e(t+1) at each t; its horizon (> 1, `check_acts_on`) shrinks by one."""
-        check_acts_on(OperatorKind.SHIFT, self, 1)
-        den, ints = self._form
-        return _born(FiniteSequence, (den, ints[1:]), self.origin)
 
     def __repr__(self) -> str:
         return f"FiniteSequence(origin={self.origin}, values=[{', '.join(map(str, self.values))}])"
@@ -245,12 +234,17 @@ def check_acts_on(kind: OperatorKind, e: OperatorElement, times: int) -> None:
 
 
 def apply(kind: OperatorKind, e: OperatorElement) -> OperatorElement:
-    """One application of the operator to an element."""
+    """One application of the operator to an element; a shift or a derivative is born from e's form.
+
+    The shift gives value e(t+1) at each t, so its horizon shrinks by one.
+    """
     check_acts_on(kind, e, 1)
+    den, ints = e.int_form()
     if kind is OperatorKind.SHIFT:
-        return e.shift()
+        return _born(FiniteSequence, (den, ints[1:]), e.origin)
     if kind is OperatorKind.DERIVATIVE:
-        return e.derivative()
+        # k c_k keeps the leading coefficient nonzero, so there is nothing to strip
+        return _born(Polynomial, (den, [k * c for k, c in enumerate(ints) if k >= 1]))
     return 0 * e
 
 

@@ -15,6 +15,7 @@ from conftest import (
     random_sequence_column,
     zero_matrix,
 )
+from opreduce import operators as operators_module
 from opreduce.cauchy import (
     derived_initial_conditions,
     iterate_difference,
@@ -30,6 +31,7 @@ from opreduce.operators import (
     HorizonError,
     OperatorKind,
     Polynomial,
+    apply,
     apply_vector,
     eval_scalar_equation,
     lincomb,
@@ -228,6 +230,25 @@ class TestDerivedInitialConditions:
         assert derived_initial_conditions(Matrix([["7/3"]]), zero_phi(1, 1), ("1/7919",)) == ((),)
         assert derived_initial_conditions(zero_matrix(2), zero_phi(2, 2), (3, 5)) == ((0,), (0,))
 
+    def test_reads_the_integer_forms_of_a_combined_phi(self, rng, monkeypatch):
+        # a manufactured phi is a lincomb output, whose values are built only when read;
+        # the first n - 1 of them come from its integer form, so no operator value is built
+        b = random_matrix(rng, 3)
+        x = random_sequence_column(rng, 3, horizon=201)
+        phi = manufacture_solution(b, x, SHIFT)
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(operators_module, "Fraction", counting)
+        derived = derived_initial_conditions(b, phi, [e.values[0] for e in x])
+        assert made == []
+        assert phi[0].horizon == 200
+        # x solves the system from x(t0), so power j of variable i starts at x_i(t0 + j)
+        assert derived == tuple(e.values[1:3] for e in x)
+
 
 class TestManufactureSolution:
     def test_homogeneous_solution_gives_zero_phi(self):
@@ -408,7 +429,7 @@ SHIFT_SHORTFALLS = {
         "shift^2 needs horizon > 2, got 2",
     ),
     "shift of a horizon-1 sequence": (
-        lambda: FiniteSequence(0, [1]).shift(),
+        lambda: apply(SHIFT, FiniteSequence(0, [1])),
         "shift^1 needs horizon > 1, got 1",
     ),
 }

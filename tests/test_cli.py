@@ -11,6 +11,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, patch_everywhere
 from opreduce import cli, exactcore, faddeev, minors, specio
@@ -995,6 +997,69 @@ def test_golden_cases_match_the_golden_file():
 def test_golden_report(name):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
     assert run_golden_case(GOLDEN_CASES[name]) == golden
+
+
+SPEC_FIXTURES = sorted(path for path in DATA_DIR.glob("*.json") if "golden" not in path.stem)
+# a value of each JSON type, and small ints that are odd in every field that takes a count
+SWAPPED_VALUES = ("1/2", "x", 1, 0.5, None, True, [], {})
+ODD_INTS = (-1, 0, 1, 2, 3, 7)
+
+
+def _paths(node, path=()):
+    """Every path below ``node``, as a tuple of keys and list indices."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def edited_specs(draw):
+    """A spec fixture with 1-3 edits: a value swapped for another type, a key or item deleted, an odd small int."""
+    spec = json.loads(draw(st.sampled_from(SPEC_FIXTURES)).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(spec))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = spec
+        for step in parent_path:
+            parent = parent[step]
+        edit = draw(st.sampled_from(("swap", "delete", "int")))
+        if edit == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(SWAPPED_VALUES if edit == "swap" else ODD_INTS))
+    return spec
+
+
+@given(
+    spec=edited_specs(),
+    command=st.sampled_from(("reduce", "solve", "verify", "cramer")),
+    fmt=st.sampled_from(("json", "text")),
+    horizon=st.one_of(st.none(), st.integers(-1, 45)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_exit_code_contract(tmp_path_factory, spec, command, fmt, horizon):
+    # exit 0 or 4 writes a report and nothing else; exit 2 (bad input) or 3 (singular
+    # matrix) writes no report and one error line; nothing else escapes cli.main
+    path = tmp_path_factory.getbasetemp() / "edited_spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = [command, "--spec", str(path), "--format", fmt]
+    if command == "solve" and horizon is not None:
+        argv += ["--horizon", str(horizon)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == "" and out.endswith("\n")
+        if fmt == "json":
+            assert json.loads(out)["command"] == command
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    DATA_DIR,
     LARGE_PRIMES,
     matmul,
     plus_identity,
@@ -18,8 +17,7 @@ from conftest import (
     zero_matrix,
 )
 from opreduce import faddeev
-from opreduce.cli import main
-from opreduce.exactcore import DimensionError, Matrix, identity, mat_vec
+from opreduce.exactcore import DimensionError, Matrix, identity, mat_vec, matmul_int
 from opreduce.faddeev import (
     AdjugateCoeffs,
     CharPoly,
@@ -211,15 +209,28 @@ class TestIntegerLift:
         )
         assert_matches_fraction_recurrence(b)
 
-    def test_inexact_division_is_an_internal_error(self, monkeypatch):
-        # the remainder can only be nonzero through a bug, so fake one
-        monkeypatch.setattr(faddeev, "divmod", lambda a, k: (0, 1), raising=False)
-        with pytest.raises(faddeev.RecurrenceError) as info:
-            adjugate_coeffs(Matrix([[1, 2], [3, 4]]))
-        assert not isinstance(info.value, ValueError)
-        # the CLI does not report it as an input error (exit 2)
-        with pytest.raises(faddeev.RecurrenceError):
-            main(["reduce", "--spec", str(DATA_DIR / "shift_2x2.json")])
+    def test_ten_digit_entries_match_both_oracles(self, rng):
+        for n in range(2, 7):
+            b = random_matrix(rng, n, bound=10**10)
+            assert_matches_fraction_recurrence(b)
+            assert adjugate_coeffs(b) == adjugate_coeffs_minors(b)
+
+    def test_each_step_starts_from_the_stored_coefficient(self, rng, monkeypatch):
+        # the left operand of step k is the stored form of B_{k-1}, not a copy
+        # carried unreduced from the steps before it
+        lefts = []
+
+        def recording(a, b):
+            lefts.append(max(abs(x).bit_length() for row in a for x in row))
+            return matmul_int(a, b)
+
+        monkeypatch.setattr(faddeev, "matmul_int", recording)
+        b = random_matrix(rng, 6, bound=10**10)
+        ac = adjugate_coeffs(b)
+        stored = [max(abs(x).bit_length() for row in bk.int_form()[1] for x in row) for bk in ac.coeffs]
+        assert len(lefts) == 6
+        assert all(left <= bits for left, bits in zip(lefts, stored))
+        assert max(stored) > 1000
 
 
 def adjugate_at(ac, lam):

@@ -383,7 +383,7 @@ class TestLincomb:
             # every operator power down to horizon 1 or the zero polynomial
             check(e, reduced)
             while e.horizon > 1 if isinstance(e, FiniteSequence) else not e.is_zero():
-                e = e.shift() if isinstance(e, FiniteSequence) else e.derivative()
+                e = apply(SHIFT if isinstance(e, FiniteSequence) else DERIV, e)
                 check(e)
 
         m = len(value_lists)
@@ -509,7 +509,7 @@ class TestValuesOnFirstRead:
         made.clear()
         chain = [p]
         while not chain[-1].is_zero():
-            chain.append(chain[-1].derivative())
+            chain.append(apply(DERIV, chain[-1]))
         assert made == []
         for j, e in enumerate(chain):
             assert e.coeffs == self.power_values(DERIV, p, j)
@@ -520,7 +520,7 @@ class TestValuesOnFirstRead:
         s = FiniteSequence(5, ["1/2", "1/3", 2, "3/2"])
         combined = lincomb(clear_denominators([[Fraction(1, 7919), 2]]), [s, s])[0]
         made.clear()
-        shifted = [s.shift(), s.shift().shift(), combined.shift(), apply(SHIFT, combined)]
+        shifted = [apply(SHIFT, s), apply(SHIFT, apply(SHIFT, s)), apply(SHIFT, combined), apply(SHIFT, combined)]
         assert made == []
         assert shifted[0].int_form() == (6, [2, 12, 9])
         assert shifted[1].int_form() == (6, [12, 9])
