@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exactcore import Matrix, as_column, clear_denominators, conform, matmul_int
+from .exactcore import Matrix, _born_fraction, as_column, clear_denominators, conform, matmul_int
 from .operators import (
     ElementColumn,
     FiniteSequence,
@@ -55,18 +55,45 @@ def _shift_problem(
     return n, den, m, start
 
 
+def _smooth_gcd(a: int, s: int, r: int) -> int:
+    """gcd(a, s) for s > 0 whose every prime factor divides r.
+
+    c = gcd(a, r, s) holds each prime of the gcd at least once, and each
+    round c <- gcd(a, c^2, s) doubles every exponent that is still short, so
+    this stops after at most log2(max exponent) + 1 rounds.  While c is small
+    every gcd has a small operand (r or c^2), where a full gcd of a and s is
+    a Lehmer gcd of two numbers as long as s.
+    """
+    if not a:
+        return s
+    c = gcd(a, r, s)
+    while c > 1:
+        wider = gcd(a, c * c, s)
+        if wider == c:
+            break
+        c = wider
+    return c
+
+
 def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> ElementColumn:
     """Iterate x(t+1) = B x(t) + phi(t) exactly from x(t0) = x0.
 
     Returns the n trajectories as sequences over t0 .. t0 + steps, reading
-    phi up to t0 + steps - 1 (`_shift_problem`).  With B = M/D, phi(t) =
-    P(t)/Q (Q the lcm of the denominators of phi's integer forms, read once
-    per call) and the state x(t) = X/S (X ints, S > 0), one step is
-    X' = Q (M X) + D S P over S' = D S Q, reduced by gcd(S', X').  The
-    step's values are the Fractions X'_i / S', and each one's gcd gives that
-    reduction too: gcd(S', X') is the gcd of the S' / denominator.  Each
-    trajectory is born with its integer form over L, the lcm of the S(t):
-    value t is X(t) (L / S(t)) over L.
+    phi up to t0 + steps - 1 (`_shift_problem`).  With B = M/D and the state
+    x(t) = X/S (X ints, S > 0), step t reads phi(t) over its own denominator:
+    entry i is a_i/D_i in its integer form, reduced by gcd(a_i, D_i), and
+    q_t is the lcm of the reduced denominators, so phi(t) = P/q_t.  The step
+    is X' = q_t (M X) + D S P over S' = D S q_t.
+
+    Each value X'_i / S' is born from the coprime pair its gcd leaves
+    (`_born_fraction`), and the state is reduced by the gcd of those gcds.
+    Every prime of S' divides the prime bound r = lcm(S(t0) D, q_t0, ..., q_t),
+    so the gcd of a value whose last denominator took at least 3/4 of S's
+    bits, and which is therefore small, comes from `_smooth_gcd` over r.  A
+    value with a shorter denominator has a long gcd; Euclid's algorithm
+    ends early on it, where the squaring rounds would grow to the size of
+    S, so it takes `math.gcd`.  Each trajectory is born with its integer
+    form over L, the lcm of the S(t): value t is X(t) (L / S(t)) over L.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -74,20 +101,32 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
     t0 = phi.entries[0].origin
     scale, (x,) = clear_denominators([start])
     forms = [entry.int_form() for entry in phi.entries]
-    q = lcm(*(d for d, _ in forms))
-    windows = [[a * (q // d) for a in ints[:steps]] for d, ints in forms]
+    bound = lcm(scale, den)
     states, values = [(x, scale)], [start]
-    for p in zip(*windows):
+    for t in range(steps):
+        p, dens = [], []
+        for d, ints in forms:
+            g = gcd(ints[t], d)
+            p.append(ints[t] // g)
+            dens.append(d // g)
+        q = lcm(*dens)
+        bound = lcm(bound, q)
         ds = den * scale
-        x = [q * sum(map(mul, row, x)) + ds * c for row, c in zip(m, p)]
+        long_bits = scale.bit_length() * 3 // 4
         scale = ds * q
-        now = tuple(Fraction(a, scale) for a in x)
-        g = gcd(*(scale // v.denominator for v in now))
+        x_next, now, g = [], [], 0
+        for row, c, e, last in zip(m, p, dens, values[-1]):
+            a = q * sum(map(mul, row, x)) + ds * (c * (q // e))
+            h = _smooth_gcd(a, scale, bound) if last.denominator.bit_length() >= long_bits else gcd(a, scale)
+            x_next.append(a)
+            now.append(_born_fraction(a // h, scale // h))
+            g = gcd(g, h)
+        x = x_next
         if g > 1:
             x = [a // g for a in x]
             scale //= g
         states.append((x, scale))
-        values.append(now)
+        values.append(tuple(now))
     common = lcm(*(s for _, s in states))
     factors = [common // s for _, s in states]
     trajectories = []

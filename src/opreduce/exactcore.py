@@ -138,6 +138,19 @@ def _born_matrix(den: int, rows: list[list[int]]) -> Matrix:
     return m
 
 
+def _born_fraction(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` numerator / denominator, built without normalizing.
+
+    The trusted constructor: the pair must be coprime ints with denominator
+    > 0, which is what ``Fraction(numerator, denominator)`` would find again
+    at the cost of a full gcd.  It sets the two slots as CPython's own
+    ``Fraction._from_coprime_ints`` does.
+    """
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = numerator, denominator
+    return f
+
+
 def identity(n: int) -> Matrix:
     if n < 1:
         raise DimensionError("matrix must be n x n with n >= 1")

@@ -12,11 +12,14 @@ from conftest import (
     random_column,
     random_matrix,
     random_polynomial_column,
+    random_rational,
     random_sequence_column,
     zero_matrix,
 )
+from opreduce import cauchy as cauchy_module
 from opreduce import operators as operators_module
 from opreduce.cauchy import (
+    _smooth_gcd,
     derived_initial_conditions,
     iterate_difference,
     manufacture_solution,
@@ -96,6 +99,54 @@ def assert_matches_fraction_recurrence(b, phi, x0, steps):
     assert_canonical(traj)
 
 
+def zero_variable_beside_growing_ones(rng):
+    """Variable 0 has a zero row and column in B, a zero phi entry and a zero start."""
+    n, horizon = 3, 200
+    b = Matrix([[0] * n] + [[0, *random_column(rng, n - 1)] for _ in range(n - 1)])
+    phi = ElementColumn([FiniteSequence(0, [0] * horizon), *random_sequence_column(rng, n - 1, horizon)])
+    return b, phi, (0, *random_column(rng, n - 1)), horizon
+
+
+def integer_variable_beside_fractional_ones(rng):
+    """Variable 0 depends only on itself, through an integer, with integer phi and start."""
+    n, horizon = 3, 60
+    b = Matrix([[rng.choice([-3, -2, 2, 3]), 0, 0]] + [random_column(rng, n) for _ in range(n - 1)])
+    integers = FiniteSequence(0, [rng.randint(-9, 9) for _ in range(horizon)])
+    phi = ElementColumn([integers, *random_sequence_column(rng, n - 1, horizon)])
+    return b, phi, (rng.randint(-9, 9), *random_column(rng, n - 1)), horizon
+
+
+def ten_digit_entries(rng):
+    n, horizon, bound = 4, 30, 10**10
+    b = random_matrix(rng, n, bound)
+    return b, random_sequence_column(rng, n, horizon, bound=bound), random_column(rng, n, bound), horizon
+
+
+def prime_only_in_the_last_phi_step(rng):
+    """phi_0's last value alone has the prime 1000003 as its denominator.
+
+    x_1 carries most of S and takes no share of that prime, so the last
+    step's gcd for x_1 holds 1000003, which only that step's q_t brings to
+    the prime bound.
+    """
+    horizon = 12
+    b = Matrix([[1, 0], [0, "1/3"]])
+    first = FiniteSequence(0, [*(rng.randint(-9, 9) for _ in range(horizon - 1)), "1/1000003"])
+    phi = ElementColumn([first, FiniteSequence(0, [random_rational(rng) for _ in range(horizon)])])
+    return b, phi, (1, "1/3"), horizon
+
+
+STRUCTURED_INPUTS = {
+    f.__name__: f
+    for f in (
+        zero_variable_beside_growing_ones,
+        integer_variable_beside_fractional_ones,
+        ten_digit_entries,
+        prime_only_in_the_last_phi_step,
+    )
+}
+
+
 class TestIterateDifference:
     def test_random_mixed_denominators(self, rng):
         for n in range(1, 7):
@@ -112,6 +163,10 @@ class TestIterateDifference:
                 assert_matches_fraction_recurrence(b, phi, random_column(rng, n), 12)
                 assert_matches_fraction_recurrence(b, phi, (0,) * n, 12)
             assert_matches_fraction_recurrence(random_matrix(rng, n), zero_phi(n, 12), (0,) * n, 12)
+
+    @pytest.mark.parametrize("case", sorted(STRUCTURED_INPUTS))
+    def test_structured_inputs(self, rng, case):
+        assert_matches_fraction_recurrence(*STRUCTURED_INPUTS[case](rng))
 
     def test_cancelling_values_are_reduced(self):
         # x = 1/2 is a fixed point of x -> 2x - 1/2: every step's common factor must cancel
@@ -146,6 +201,29 @@ class TestIterateDifference:
     def test_horizon_shortfall(self):
         with pytest.raises(HorizonError):
             iterate_difference(identity(2), zero_phi(2, 3), (0, 0), 4)
+
+
+class TestSmoothGcd:
+    def test_equals_math_gcd(self):
+        s = 2**600 * 3**300 * 5
+        for k in (0, 1, 2, 299, 600, 601, 1500):
+            for m in (1, 7, 3**150, 3**301 * 11, 5 * 3**299):
+                for a in (m << k, -(m << k)):
+                    assert _smooth_gcd(a, s, 30) == gcd(a, s)
+        assert _smooth_gcd(0, s, 30) == s
+
+    def test_squaring_rounds(self, monkeypatch):
+        calls = []
+
+        def counting_gcd(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(cauchy_module, "gcd", counting_gcd)
+        s = 2**1024
+        assert _smooth_gcd(s, s, 2) == s
+        # exponent 1, 2, 4, ..., 1024, and one round that finds no more; one factor at a time takes 1024
+        assert len(calls) <= 2 * 10 + 3
 
 
 class TestDerivedInitialConditions:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +10,7 @@ from conftest import LARGE_PRIMES, det_cofactor, matmul, random_column, random_m
 from opreduce.exactcore import (
     DimensionError,
     Matrix,
+    _born_fraction,
     _born_matrix,
     as_rational,
     column_substitute,
@@ -254,6 +255,22 @@ def reference_clear(rows):
 
 
 repeated_large = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(LARGE_PRIMES))
+
+
+class TestBornFraction:
+    def test_equals_the_normalized_fraction(self):
+        rng = random.Random(5)
+        pairs = [(-7, 3), (-12, 1), (5, 1), (0, 1)]
+        while len(pairs) < 12:
+            n, d = rng.getrandbits(1000) - 2**999, rng.getrandbits(1000) | 1
+            if gcd(n, d) == 1:
+                pairs.append((n, d))
+        for n, d in pairs:
+            born, made = _born_fraction(n, d), Fraction(n, d)
+            assert type(born) is Fraction
+            assert (born.numerator, born.denominator) == (n, d)
+            assert born == made and hash(born) == hash(made) and str(born) == str(made)
+            assert born + Fraction(1, 3) == made + Fraction(1, 3)
 
 
 class TestIntegerKernel:
