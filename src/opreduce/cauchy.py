@@ -60,9 +60,10 @@ def _smooth_gcd(a: int, s: int, r: int) -> int:
 
     c = gcd(a, r, s) holds each prime of the gcd at least once, and each
     round c <- gcd(a, c^2, s) doubles every exponent that is still short, so
-    this stops after at most log2(max exponent) + 1 rounds.  While c is small
-    every gcd has a small operand (r or c^2), where a full gcd of a and s is
-    a Lehmer gcd of two numbers as long as s.
+    this stops after at most log2(max exponent) + 1 rounds.  It beats a full
+    gcd of a and s, a Lehmer gcd of two numbers as long as s, when r is short
+    (the denominators share a few small primes) and the gcd is short, so
+    that c^2 stays short too; a long r makes the first gcd a long one.
     """
     if not a:
         return s
@@ -87,13 +88,22 @@ def iterate_difference(b: Matrix, phi: ElementColumn, x0, steps: int) -> Element
 
     Each value X'_i / S' is born from the coprime pair its gcd leaves
     (`_born_fraction`), and the state is reduced by the gcd of those gcds.
-    Every prime of S' divides the prime bound r = lcm(S(t0) D, q_t0, ..., q_t),
-    so the gcd of a value whose last denominator took at least 3/4 of S's
-    bits, and which is therefore small, comes from `_smooth_gcd` over r.  A
-    value with a shorter denominator has a long gcd; Euclid's algorithm
-    ends early on it, where the squaring rounds would grow to the size of
-    S, so it takes `math.gcd`.  Each trajectory is born with its integer
-    form over L, the lcm of the S(t): value t is X(t) (L / S(t)) over L.
+    Every prime of S' divides the prime bound r = lcm(S(t0) D, q_t0, ..., q_t).
+    r stays short only while the denominators of B, x0 and phi share a few
+    small primes; wide denominators add their new primes to r at every
+    step, and there the step denominators, not the squaring rounds, save
+    the most.  A value whose last denominator took at least 3/4 of S's bits
+    is expected to have a short gcd, which comes from `_smooth_gcd` over r.
+    A shorter last denominator (an integer variable, or a block of B with
+    denominators of its own) predicts a long gcd; Euclid's algorithm ends
+    early on it, where the squaring rounds would grow to the size of S, so
+    it takes `math.gcd`.  The 3/4 is measured, not derived: thresholds from
+    3/4 to 7/8 keep both kinds of input fast, 5/8 and below send a block's
+    long gcds to the squaring rounds, and 1 sends every value to Euclid; a
+    block whose own denominators take over 3/4 of S's bits still meets the
+    squaring rounds.
+    Each trajectory is born with its integer form over L, the lcm of the
+    S(t): value t is X(t) (L / S(t)) over L.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
