@@ -10,9 +10,9 @@ The top level holds the names of the README library example and `det`;
 everything else is imported from its submodule.
 """
 
+from .cauchy import reduce_checked
 from .exactcore import Matrix, det
 from .operators import ElementColumn, FiniteSequence, OperatorKind
-from .reduction import total_reduce_adjugate, total_reduce_minors
 
 __all__ = [
     "ElementColumn",
@@ -20,6 +20,5 @@ __all__ = [
     "Matrix",
     "OperatorKind",
     "det",
-    "total_reduce_adjugate",
-    "total_reduce_minors",
+    "reduce_checked",
 ]

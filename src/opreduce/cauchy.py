@@ -185,20 +185,27 @@ def manufacture_solution(b: Matrix, x: ElementColumn, kind: OperatorKind) -> Ele
     return ElementColumn(lincomb((den, scalar_rows), (*apply_vector(kind, x), *x)))
 
 
+def reduce_checked(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> tuple[ReducedSystem, bool]:
+    """The production reduction, and whether the minor route's coefficients equal its own.
+
+    The one route comparison of `reduce`, `verify` and `solve`; it evaluates no right-hand side.
+    """
+    reduced = total_reduce_adjugate(b, phi, kind)
+    return reduced, reduced == total_reduce_minors(b, phi, kind)
+
+
 def verify_total_reduction(
     b: Matrix, x: ElementColumn, phi: ElementColumn, kind: OperatorKind
 ) -> VerificationReport:
     """Check that each component of x satisfies its reduced scalar equation.
 
-    Runs both reduction routes, records whether their coefficients agree
-    exactly, and evaluates the per-variable residuals against the
-    adjugate-route right-hand side, the only one evaluated.
+    Takes the reduction and its route agreement from `reduce_checked`, and evaluates
+    the per-variable residuals against its right-hand side, the only one evaluated.
     """
     candidate, free = conform(b.n, x, "candidate column")[0], phi[0]
     if type(candidate) is not type(free) or candidate.origin != free.origin:
         raise HeterogeneousColumnError("candidate and free columns must share a variant and an origin")
-    reduced = total_reduce_adjugate(b, phi, kind)
-    agreement = reduced == total_reduce_minors(b, phi, kind)
+    reduced, agreement = reduce_checked(b, phi, kind)
     residuals = tuple(
         eval_scalar_equation(reduced.cp, kind, xi, psi) for xi, psi in zip(x, reduced.rhs_evaluated)
     )

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .cauchy import solve_cauchy, verify_total_reduction
+from .cauchy import reduce_checked, solve_cauchy, verify_total_reduction
 from .exactcore import Matrix, mat_vec
 from .faddeev import adjugate_coeffs, adjugate_coeffs_minors, cayley_hamilton_check
 from .operators import OperatorKind
@@ -33,8 +33,6 @@ from .reduction import (
     cramer_via_zero_reduction,
     lemma1_check,
     lemma2_check,
-    total_reduce_adjugate,
-    total_reduce_minors,
 )
 from .specio import (
     SpecError,
@@ -191,8 +189,7 @@ def _no_int_str_digit_limit():
 
 
 def cmd_reduce(args, spec) -> tuple[dict, bool]:
-    reduced = total_reduce_adjugate(spec.matrix, spec.phi, spec.operator)
-    agreement = reduced == total_reduce_minors(spec.matrix, spec.phi, spec.operator)
+    reduced, agreement = reduce_checked(spec.matrix, spec.phi, spec.operator)
     payload = {
         "command": "reduce",
         "n": spec.n,

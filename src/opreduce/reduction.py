@@ -25,10 +25,10 @@ package treats any disagreement as a bug, never as noise.  Taking the zero
 operator collapses the machinery to Cramer's rule, which is exposed
 directly as `cramer_solve` (Bareiss determinants) and cross-checked by
 `cramer_via_zero_reduction` on the production route; only the oracle and
-the cross-checks of `reduce`, `verify` and `solve` enumerate minors.  The
-identity checks of the oracle live here too: `lemma2_check` compares the
-two routes' coefficients, and `lemma1_check`, re-exported from `faddeev`,
-tests their recurrence.
+`cauchy.reduce_checked`, the cross-check of `reduce`, `verify` and `solve`,
+enumerate minors.  The identity checks of the oracle live here too:
+`lemma2_check` compares the two routes' coefficients, and `lemma1_check`,
+re-exported from `faddeev`, tests their recurrence.
 """
 
 from __future__ import annotations

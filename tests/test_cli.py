@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, patch_everywhere
-from opreduce import cli, exactcore, faddeev, minors, specio
+from opreduce import cauchy, cli, exactcore, faddeev, minors, specio
 from opreduce.cauchy import manufacture_solution
 from opreduce.cli import main
 from opreduce.exactcore import Matrix
 from opreduce.operators import ElementColumn, FiniteSequence, OperatorKind, apply_vector, lincomb
+from opreduce.reduction import ReducedSystem
 from opreduce.specio import load_spec
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -147,7 +148,7 @@ class TestReduce:
             calls.append(args)
             raise AssertionError("the reduction ran before --out was opened")
 
-        monkeypatch.setattr(cli, "total_reduce_adjugate", recording)
+        monkeypatch.setattr(cli, "reduce_checked", recording)
         target = tmp_path / "missing" / "report.json"
         rc, out, err = run_cli(
             capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--out", str(target)]
@@ -172,12 +173,16 @@ class TestReduce:
         assert "not valid JSON" in err
         assert target.read_text(encoding="utf-8") == "earlier report\n"
 
-    def test_dimension_cap(self, capsys):
-        rc, _, err = run_cli(
-            capsys, ["reduce", "--spec", str(DATA_DIR / "shift_2x2.json"), "--nmax", "1"]
-        )
-        assert rc == 2
-        assert "brute-force cap" in err
+    @pytest.mark.parametrize("command", ["reduce", "solve", "verify"])
+    def test_dimension_cap(self, capsys, tmp_path, command):
+        # the cap is checked before --out opens, so a capped run leaves an earlier report as it was
+        target = tmp_path / "report.txt"
+        target.write_text("earlier report\n", encoding="utf-8")
+        spec = str(DATA_DIR / "shift_2x2_x.json")
+        rc, out, err = run_cli(capsys, [command, "--spec", spec, "--nmax", "1", "--out", str(target)])
+        assert (rc, out) == (2, "")
+        assert err == "error: dimension n = 2 exceeds the brute-force cap 1; raise --nmax to override\n"
+        assert target.read_text(encoding="utf-8") == "earlier report\n"
 
 
 class TestSolve:
@@ -639,18 +644,18 @@ class TestCrossCheck:
         residual_combinations = 0 if command == "reduce" else n
         assert calls == {"lincomb": 1 + residual_combinations, "apply_vector": n - 1}
 
+    @staticmethod
+    def off_by_one(ac):
+        """``ac`` with the first entry of B_1 off by 1."""
+        rows = [list(row) for row in ac.coeffs[1].rows()]
+        rows[0][0] += 1
+        return faddeev.AdjugateCoeffs((ac.coeffs[0], Matrix(rows), *ac.coeffs[2:]), ac.cp)
+
     @pytest.mark.parametrize("command", ["reduce", "verify", "solve"])
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_route_disagreement_reaches_the_cli(self, capsys, monkeypatch, command, fmt):
         original = faddeev.adjugate_coeffs_minors
-
-        def perturbed(b):
-            ac = original(b)
-            rows = [list(row) for row in ac.coeffs[1].rows()]
-            rows[0][0] += 1
-            return faddeev.AdjugateCoeffs((ac.coeffs[0], Matrix(rows), *ac.coeffs[2:]), ac.cp)
-
-        patch_everywhere(monkeypatch, original, perturbed)
+        patch_everywhere(monkeypatch, original, lambda b: self.off_by_one(original(b)))
         rc, out, _ = run_cli(capsys, [command, "--spec", self.SPEC, "--format", fmt])
         assert rc == 4
         if fmt == "json":
@@ -662,6 +667,19 @@ class TestCrossCheck:
             assert "route agreement: false" in out
             if command != "reduce":
                 assert "all residuals zero: false" in out
+
+    @pytest.mark.parametrize("command", ["reduce", "verify", "solve"])
+    def test_every_command_compares_the_routes_in_one_place(self, capsys, monkeypatch, command):
+        # the minor route replaced where cauchy.reduce_checked reads it, and nowhere else
+        original = cauchy.total_reduce_minors
+
+        def perturbed(b, phi, kind):
+            return ReducedSystem(self.off_by_one(original(b, phi, kind).ac), phi, kind)
+
+        monkeypatch.setattr(cauchy, "total_reduce_minors", perturbed)
+        rc, out, _ = run_cli(capsys, [command, "--spec", self.SPEC, "--format", "json"])
+        assert rc == 4
+        assert json.loads(out)["route_agreement"] is False
 
 
 class TestSpecParsing:
@@ -904,7 +922,7 @@ def test_internal_index_error_is_not_an_input_error(monkeypatch):
     def broken(*args):
         raise IndexError("internal indexing bug")
 
-    monkeypatch.setattr(cli, "total_reduce_adjugate", broken)
+    monkeypatch.setattr(cli, "reduce_checked", broken)
     with pytest.raises(IndexError, match="internal indexing bug"):
         main(["reduce", "--spec", str(DATA_DIR / "shift_2x2.json")])
 

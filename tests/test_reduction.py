@@ -17,7 +17,7 @@ from conftest import (
     serialized_terms,
 )
 from opreduce import reduction
-from opreduce.cauchy import manufacture_solution, verify_total_reduction
+from opreduce.cauchy import manufacture_solution, reduce_checked, verify_total_reduction
 from opreduce.exactcore import DimensionError, Matrix, identity, mat_vec, parse_rational
 from opreduce.faddeev import (
     AdjugateCoeffs,
@@ -27,7 +27,7 @@ from opreduce.faddeev import (
     cayley_hamilton_check,
 )
 from opreduce.minors import delta_k_i
-from opreduce.specio import reduced_to_json
+from opreduce.specio import load_spec, reduced_to_json
 from opreduce.operators import (
     ElementColumn,
     FiniteSequence,
@@ -175,6 +175,11 @@ class TestRouteEquality:
                 assert lhs.ac == rhs.ac
                 assert lhs.rhs_evaluated == rhs.rhs_evaluated
                 assert lhs == rhs
+                assert reduce_checked(b, phi, kind) == (lhs, True)
+        fixture = {SHIFT: "shift_2x2.json", DERIV: "derivative_3x3.json", ZERO: "zero_3x3.json"}[kind]
+        spec = load_spec(DATA_DIR / fixture)
+        assert spec.operator is kind
+        assert reduce_checked(spec.matrix, spec.phi, kind) == (total_reduce_adjugate(spec.matrix, spec.phi, kind), True)
 
     @pytest.mark.parametrize("kind", [SHIFT, DERIV])
     def test_agreement_and_checks_build_no_fraction_rows(self, rng, kind):
