@@ -12,7 +12,6 @@ that window as its origin and horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -34,11 +33,11 @@ from .operators import (
 from .reduction import ReducedSystem, total_reduce_adjugate, total_reduce_minors
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    reduced: ReducedSystem
-    route_agreement: bool
-    residuals: tuple[OperatorElement, ...]
+    __slots__ = ("reduced", "route_agreement", "residuals")
+
+    def __init__(self, reduced: ReducedSystem, route_agreement: bool, residuals: tuple[OperatorElement, ...]):
+        self.reduced, self.route_agreement, self.residuals = reduced, route_agreement, residuals
 
     def all_zero(self) -> bool:
         return self.route_agreement and all(r.is_zero() for r in self.residuals)

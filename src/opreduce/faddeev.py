@@ -22,22 +22,27 @@ k = n, where B_n = 0, is the Cayley-Hamilton theorem (`cayley_hamilton_check`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import DimensionError, Matrix, _born_matrix, identity, matmul_int
 from .minors import delta_k, delta_k_i_coeffs
 
 
-@dataclass(frozen=True)
 class CharPoly:
     """Monic characteristic polynomial lambda^n + d[0] lambda^(n-1) + ... + d[n-1], n = len(d)."""
 
-    d: tuple[Fraction, ...]
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if not self.d:
+    def __init__(self, d: tuple[Fraction, ...]):
+        if not d:
             raise ValueError("characteristic polynomial needs n >= 1 trailing coefficients")
+        self.d = d
+
+    def __eq__(self, other) -> bool:
+        return self.d == other.d if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.d)
 
     @property
     def n(self) -> int:
@@ -50,19 +55,25 @@ class CharPoly:
         return self.d[k - 1]
 
 
-@dataclass(frozen=True)
 class AdjugateCoeffs:
     """Coefficients B_0..B_{n-1} of adj(lambda*I - B) as a polynomial in lambda; n is the order of p."""
 
-    coeffs: tuple[Matrix, ...]
-    cp: CharPoly
+    __slots__ = ("coeffs", "cp")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.cp.n:
+    def __init__(self, coeffs: tuple[Matrix, ...], cp: CharPoly):
+        if len(coeffs) != cp.n:
             raise ValueError("adjugate expansion needs exactly n matrix coefficients")
-        if any(m.n != self.cp.n for m in self.coeffs):
-            n = self.cp.n
-            raise DimensionError(f"adjugate coefficients of order {n} must be {n}x{n}")
+        if any(m.n != cp.n for m in coeffs):
+            raise DimensionError(f"adjugate coefficients of order {cp.n} must be {cp.n}x{cp.n}")
+        self.coeffs, self.cp = coeffs, cp
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.coeffs, self.cp) == (other.coeffs, other.cp)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.cp))
 
     @property
     def n(self) -> int:

@@ -37,9 +37,9 @@ summation order irrelevant, fixing it just keeps debugging deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .exactcore import Matrix, _born_matrix, column_substitute, det, det_int, mat_vec
 

@@ -33,10 +33,10 @@ has both values and form (an iterated trajectory) hands over both.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from .exactcore import as_column, as_rational, clear_denominators
 

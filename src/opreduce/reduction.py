@@ -33,11 +33,9 @@ re-exported from `faddeev`, tests their recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .exactcore import DimensionError, Matrix, as_column, column_substitute, conform, det
 from .faddeev import AdjugateCoeffs, CharPoly, adjugate_coeffs, adjugate_coeffs_minors, lemma1_check
@@ -55,7 +53,6 @@ class SingularMatrixError(ValueError):
     """The system matrix has determinant zero where a nonzero one is required."""
 
 
-@dataclass(frozen=True)
 class ReducedSystem:
     """The adjugate coefficients of B, the free column phi and the operator of a reduction.
 
@@ -65,27 +62,38 @@ class ReducedSystem:
     fields.
     """
 
-    ac: AdjugateCoeffs
-    phi: ElementColumn
-    kind: OperatorKind
+    __slots__ = ("ac", "phi", "kind", "_rhs")
+
+    def __init__(self, ac: AdjugateCoeffs, phi: ElementColumn, kind: OperatorKind):
+        self.ac, self.phi, self.kind, self._rhs = ac, phi, kind, None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ac, self.phi, self.kind) == (other.ac, other.phi, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.ac, self.phi, self.kind))
 
     @property
     def cp(self) -> CharPoly:
         return self.ac.cp
 
-    @cached_property
+    @property
     def rhs_evaluated(self) -> ElementColumn:
         """sum_k (row i of B_{k-1}) . A^(n-k) phi for every i, evaluated on first read."""
-        n = self.ac.n
-        powers = _operator_powers(self.kind, self.phi, n)
-        # every right-hand side in one combination: n rows of scalars over the
-        # n^2 entries of A^(n-1) phi, ..., A^0 phi, the B_k forms brought to their lcm
-        forms = [coeff.int_form() for coeff in self.ac.coeffs]
-        den = lcm(*(d for d, _ in forms))
-        factors = [den // d for d, _ in forms]
-        scalar_rows = [[c * f for (_, m), f in zip(forms, factors) for c in m[i]] for i in range(n)]
-        elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
-        return ElementColumn(lincomb((den, scalar_rows), elements))
+        if self._rhs is None:
+            n = self.ac.n
+            powers = _operator_powers(self.kind, self.phi, n)
+            # every right-hand side in one combination: n rows of scalars over the
+            # n^2 entries of A^(n-1) phi, ..., A^0 phi, the B_k forms brought to their lcm
+            forms = [coeff.int_form() for coeff in self.ac.coeffs]
+            den = lcm(*(d for d, _ in forms))
+            factors = [den // d for d, _ in forms]
+            scalar_rows = [[c * f for (_, m), f in zip(forms, factors) for c in m[i]] for i in range(n)]
+            elements = [e for k in range(1, n + 1) for e in powers[n - k].entries]
+            self._rhs = ElementColumn(lincomb((den, scalar_rows), elements))
+        return self._rhs
 
 
 def _check_system(b: Matrix, phi: ElementColumn, kind: OperatorKind) -> None:

@@ -25,7 +25,6 @@ bare rational strings (constants).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import Matrix, as_rational
@@ -36,14 +35,16 @@ class SpecError(ValueError):
     """A spec file failed validation; message names the offending field."""
 
 
-@dataclass(frozen=True)
 class SystemSpec:
-    matrix: Matrix
-    operator: OperatorKind
-    phi: ElementColumn
-    initial: tuple[int, tuple[Fraction, ...]] | None = None
-    horizon: int | None = None
-    x: ElementColumn | None = None
+    """A validated spec; ``initial`` is ``(t0, x0)``, and ``initial``, ``horizon`` and ``x`` may be None."""
+
+    __slots__ = ("matrix", "operator", "phi", "initial", "horizon", "x")
+
+    def __init__(
+        self, matrix: Matrix, operator: OperatorKind, phi: ElementColumn, initial=None, horizon=None, x=None
+    ):
+        self.matrix, self.operator, self.phi = matrix, operator, phi
+        self.initial, self.horizon, self.x = initial, horizon, x
 
     @property
     def n(self) -> int:
